@@ -29,8 +29,8 @@ use std::sync::atomic::AtomicU32;
 use std::time::Instant;
 
 use spiffi_core::{
-    discover_worker_bin, engine_threads, fan_out, replication_seed, CapacitySearch, Engine,
-    JournalSnapshot, KernelKind, ProcessConfig, SnapshotMode, SystemConfig, VodSystem,
+    engine_threads, fan_out, replication_seed, CapacitySearch, Engine, JournalSnapshot, KernelKind,
+    SnapshotMode, SystemConfig, VodSystem,
 };
 use spiffi_mpeg::{AccessPattern, Library};
 use spiffi_sched::SchedulerKind;
@@ -324,36 +324,6 @@ struct SpecSample {
     capacity: u32,
 }
 
-/// Worker processes for the process-backend section.
-const PROCESS_WORKERS: usize = 2;
-
-/// The process-backed variant of the speculative workload: the same
-/// searches dispatched to a pool of `spiffi-worker` children. `None` when
-/// the worker binary is not built (the harness degrades to a printed
-/// note), so the binary still runs outside a full workspace build.
-fn measure_process() -> Option<SpecSample> {
-    let bin = discover_worker_bin()?;
-    let engine = Engine::with_threads(1).with_process(ProcessConfig::new(PROCESS_WORKERS, bin));
-    let cold_start = Instant::now();
-    let (_, _, waste) = spec_workload(&engine);
-    let cold_wall = cold_start.elapsed().as_secs_f64();
-    let start = Instant::now();
-    let mut events = 0;
-    let mut capacity = 0;
-    for _ in 0..ITERS {
-        let (cap, e, _) = spec_workload(&engine);
-        events += e;
-        capacity = cap;
-    }
-    Some(SpecSample {
-        cold_wall_seconds: cold_wall,
-        speculative_events: waste,
-        wall_seconds: start.elapsed().as_secs_f64(),
-        events_processed: events,
-        capacity,
-    })
-}
-
 /// The warm-snapshot variant: the same per-scheduler searches as the
 /// speculative section, but the engine runs in [`SnapshotMode::Warm`] —
 /// each base warm-up is simulated once, captured at the measurement
@@ -617,34 +587,6 @@ fn main() {
         snap_journal.snapshot_saved_events,
     );
 
-    let process = measure_process();
-    match &process {
-        Some(p) => {
-            // The process backend is gated exactly like the speculative
-            // search: counted events and capacity must match the fresh
-            // sequential bisection byte-for-byte.
-            assert_eq!(
-                p.capacity, seq_capacity,
-                "process backend changed the capacity"
-            );
-            assert_eq!(
-                p.events_processed,
-                seq_events * ITERS as u64,
-                "process backend's counted events differ from the sequential bisection"
-            );
-            println!(
-                "process ({PROCESS_WORKERS} workers): cold: {:.3} s (waste: {} events)   \
-                 warm: {:.3} s   events: {}   capacity: {} terminals",
-                p.cold_wall_seconds,
-                p.speculative_events,
-                p.wall_seconds,
-                p.events_processed,
-                p.capacity
-            );
-        }
-        None => println!("process: spiffi-worker binary not found; section skipped"),
-    }
-
     let scale = measure_scale();
     for c in &scale {
         let speedup = c.heap_wall_seconds / c.bucket_wall_seconds;
@@ -772,20 +714,7 @@ fn main() {
             if i + 1 == scale.len() { "" } else { "," }
         ));
     }
-    json.push_str("    ]\n  },\n");
-    match &process {
-        Some(p) => json.push_str(&format!(
-            "  \"process\": {{\n    \"available\": true,\n    \"workers\": {PROCESS_WORKERS},\n    \
-             \"cold_wall_seconds\": {},\n    \"wall_seconds\": {},\n    \
-             \"events_processed\": {},\n    \"capacity_terminals\": {},\n    \
-             \"counted_matches_sequential\": true\n  }}\n}}\n",
-            f64_fixed(p.cold_wall_seconds, 4),
-            f64_fixed(p.wall_seconds, 4),
-            p.events_processed,
-            p.capacity
-        )),
-        None => json.push_str("  \"process\": {\n    \"available\": false\n  }\n}\n"),
-    }
+    json.push_str("    ]\n  }\n}\n");
     std::fs::write(out, json).expect("write BENCH_perf.json");
     println!("wrote {}", out.display());
 }

@@ -43,11 +43,7 @@ fn scale_config() -> SystemConfig {
 fn main() {
     let cfg = scale_config();
     let engine = Engine::new();
-    println!(
-        "experiment engine: {} thread(s), {} worker process(es)",
-        engine.threads(),
-        engine.process_workers()
-    );
+    println!("experiment engine: {} thread(s)", engine.threads());
     println!(
         "scale shape: {} nodes x {} disks, {} videos\n",
         cfg.topology.nodes, cfg.topology.disks_per_node, cfg.n_videos

@@ -15,17 +15,12 @@
 //!   in timestamp order (every line carries `type` and `t_ns`).
 //! - `TRACE_run.trace.json` — Chrome `trace_event` JSON; open it in
 //!   <https://ui.perfetto.dev> or `chrome://tracing`.
-//! - `TRACE_merged.trace.json` — the dispatcher trace plus one track per
-//!   worker telemetry stream (populated when `SPIFFI_WORKERS` and
-//!   `SPIFFI_TELEMETRY` are set), merged in canonical order so the bytes
-//!   are identical regardless of worker count or arrival interleaving.
 //! - `TRACE_journal.json` — the engine's run-journal snapshot.
 //!
 //! Usage:
 //! ```text
 //!   trace_run                    # full workload (120 s measurement window)
 //!   trace_run --small            # CI-sized run (30 s window, fewer terminals)
-//!   trace_run --dump-state       # additionally write TRACE_state.snap
 //!   trace_run --forensics        # overload run + TRACE_forensics.json dump
 //!   trace_run --scenario <file>  # fault-plan run + TRACE_scenario.json verdict
 //! ```
@@ -35,43 +30,31 @@
 //! perturbations firing as calendar events (each firing lands in the
 //! Perfetto export as an instant event on the fault track, written to
 //! `TRACE_scenario.trace.json`), the faulted capacity is measured with an
-//! [`Engine`] search (under `SPIFFI_WORKERS` the scenario ships to worker
-//! processes in the job protocol's `scn=` token), and the plan's `expect`
-//! thresholds are evaluated against the run. The machine-readable verdict
+//! [`Engine`] search, and the plan's `expect` thresholds are evaluated
+//! against the run. The machine-readable verdict
 //! goes to `TRACE_scenario.json`; the exit code is 0 when every threshold
 //! passes, 1 when any fails, and 2 on a malformed plan. Faulted runs are
 //! exactly as deterministic as clean ones, so the whole stdout is
-//! byte-identical at any `SPIFFI_THREADS` / `SPIFFI_WORKERS` setting.
-//!
-//! `--dump-state` replays the workload's warmed-up base prefix exactly as
-//! the warm snapshot path would (marginal timing, replication 0) and
-//! writes the versioned wire frame (`spiffi-snapshot/4`) the dispatcher
-//! would ship to a worker — a post-mortem artifact whose digest can be
-//! matched against worker stderr and whose body is the full serialized
-//! system state.
+//! byte-identical at any `SPIFFI_THREADS` setting.
 //!
 //! `--forensics` additionally runs a deliberately overloaded population
 //! under a [`GlitchForensics`] probe: bounded rings of recent per-terminal
-//! transitions and system context freeze at the first glitch, land in
-//! `TRACE_forensics.json`, and ride the merged trace as an instant event
-//! on a dedicated forensics track.
+//! transitions and system context freeze at the first glitch and land in
+//! `TRACE_forensics.json`.
 //!
 //! The binary cross-checks the trace against the report it rode along
 //! with: the sampled per-disk utilization mean over the measurement window
 //! must match `RunReport::avg_disk_utilization` within 1%, and the
 //! recorder's dispatch tally must equal `events_processed`.
 
-use std::collections::BTreeMap;
-
 use spiffi_core::{
-    replication_seed, wire, CapacitySearch, Engine, FaultPlan, GlitchForensics, PhaseKind, Sampler,
-    SystemConfig, TraceRecorder, VodSystem, WorkerStream,
+    CapacitySearch, Engine, FaultPlan, GlitchForensics, PhaseKind, Sampler, SystemConfig,
+    TraceRecorder, VodSystem,
 };
 use spiffi_mpeg::AccessPattern;
 use spiffi_simcore::{SimDuration, SimTime};
 use spiffi_trace::export;
 use spiffi_trace::json::f64_fixed;
-use spiffi_trace::merge::merged_chrome_trace;
 use spiffi_trace::{ForensicsDump, TraceEvent};
 
 /// The perf_baseline workload shape: one node, four disks, uniform access
@@ -98,28 +81,6 @@ fn workload_config(small: bool) -> SystemConfig {
 /// exactly, so the sampled utilization mean is directly comparable to the
 /// report's window aggregate.
 const SAMPLE_INTERVAL: SimDuration = SimDuration::from_secs(1);
-
-/// Replay the workload's base prefix under marginal timing (replication 0,
-/// the dispatcher's seeding) and write the wire snapshot frame to
-/// `TRACE_state.snap`.
-fn dump_state(cfg: &SystemConfig) {
-    let base = cfg.n_terminals;
-    let mut c = cfg.clone();
-    c.seed = replication_seed(cfg.seed, 0);
-    c.timing.warmup += c.timing.stagger;
-    let library = VodSystem::generate_library(&c);
-    let mut sys = VodSystem::with_library_marginal(c, library, base);
-    sys.replay_to_snapshot();
-    let body = sys.snap_export();
-    let frame = wire::encode_snapshot(base, 0, &body);
-    std::fs::write("TRACE_state.snap", &frame).expect("write TRACE_state.snap");
-    println!(
-        "wrote TRACE_state.snap: digest {:016x}, {} bytes, {} base-prefix events replayed",
-        wire::snapshot_digest(&body),
-        frame.len(),
-        sys.events_processed(),
-    );
-}
 
 /// Forensics ring depth: the last 64 probe events per ring is enough to
 /// see the I/O backlog leading into a glitch without ballooning the dump.
@@ -314,8 +275,14 @@ fn main() {
         };
         std::process::exit(scenario_run(path));
     }
+    if let Some(bad) = args[1..]
+        .iter()
+        .find(|a| !matches!(a.as_str(), "--small" | "--forensics"))
+    {
+        eprintln!("trace_run: unknown argument {bad:?} (expected --small, --forensics, or --scenario <file>)");
+        std::process::exit(2);
+    }
     let small = args.iter().any(|a| a == "--small");
-    let dump = args.iter().any(|a| a == "--dump-state");
     let forensics = args.iter().any(|a| a == "--forensics");
     let cfg = workload_config(small);
     let nodes = cfg.topology.nodes as usize;
@@ -390,13 +357,12 @@ fn main() {
     engine.max_glitch_free_terminals(&search_cfg, &search);
     let journal = engine.journal().snapshot();
     println!(
-        "journal: capacity {} terminals, {} searches, {} simulated + {} cached probe runs \
-         ({} on worker processes), {:.1} ms simulating, {} speculative events",
+        "journal: capacity {} terminals, {} searches, {} simulated + {} cached probe runs, \
+         {:.1} ms simulating, {} speculative events",
         result.max_terminals,
         journal.searches,
         journal.simulated(),
         journal.cache_hits(),
-        journal.worker_runs(),
         journal.total_wall_nanos() as f64 / 1e6,
         journal.speculative_events,
     );
@@ -409,30 +375,9 @@ fn main() {
         journal.forked_terminals,
         journal.snapshot_saved_events,
     );
-    if journal.worker_retries + journal.worker_respawns + journal.quarantined_jobs > 0 {
-        println!(
-            "journal: worker faults: {} retries, {} respawns, {} quarantined jobs",
-            journal.worker_retries, journal.worker_respawns, journal.quarantined_jobs,
-        );
-    }
-    for fault in &journal.worker_faults {
-        println!(
-            "journal: fault on slot {} ({} terminals, rep {}): {}{}",
-            fault.slot,
-            fault.terminals,
-            fault.replication,
-            fault.reason,
-            fault
-                .stderr_tail
-                .last()
-                .map(|l| format!(" — stderr: {l}"))
-                .unwrap_or_default(),
-        );
-    }
 
     // Per-phase wall-time breakdown: where the search actually spent its
-    // wall clock, across the dispatcher and (when telemetry is on) the
-    // workers' own measured deltas.
+    // wall clock.
     let phase_total: u64 = journal.phase_wall_nanos.iter().sum();
     let phases = PhaseKind::ALL
         .iter()
@@ -450,62 +395,10 @@ fn main() {
         phases,
         phase_total as f64 / 1e6
     );
-    if journal.telemetry_frames + journal.telemetry_dropped > 0 {
-        println!(
-            "journal: telemetry: {} frames, {} samples, {} dropped",
-            journal.telemetry_frames, journal.telemetry_samples, journal.telemetry_dropped,
-        );
-    }
-
-    // Worker telemetry streams: per-worker sample counts, then the PR 4
-    // sampler-vs-report utilization gate applied across the process
-    // boundary to every clean stream.
-    let streams: Vec<WorkerStream> = engine.take_worker_telemetry();
-    let mut per_slot: BTreeMap<usize, (u64, u64)> = BTreeMap::new();
-    for s in &streams {
-        let e = per_slot.entry(s.slot).or_default();
-        e.0 += 1;
-        e.1 += s.samples.len() as u64;
-    }
-    for (slot, (jobs, samples)) in &per_slot {
-        println!("worker {slot}: {jobs} telemetry streams, {samples} samples");
-    }
-    for s in &streams {
-        if s.glitches > 0 || s.report_disk_utilization < 1e-6 {
-            continue;
-        }
-        let Some(measure) = s.spans.iter().find(|sp| sp.label == "measure") else {
-            continue;
-        };
-        let sampled = s.mean_disk_utilization(measure.sim_start, measure.sim_end);
-        let rel = (sampled - s.report_disk_utilization).abs() / s.report_disk_utilization;
-        assert!(
-            rel < 0.01,
-            "worker stream ({} terminals, rep {}): sampled disk utilization {sampled:.4} \
-             diverges from the worker's reported {:.4}",
-            s.terminals,
-            s.replication,
-            s.report_disk_utilization,
-        );
-    }
-    if !streams.is_empty() {
-        println!(
-            "worker streams: {} clean streams pass the 1% sampled-vs-reported utilization gate",
-            streams
-                .iter()
-                .filter(|s| s.glitches == 0 && s.report_disk_utilization >= 1e-6)
-                .count()
-        );
-    }
-
     std::fs::write("TRACE_journal.json", journal.to_json()).expect("write TRACE_journal.json");
 
-    let fdump = if forensics {
-        forensics_run(&workload_config(small))
-    } else {
-        None
-    };
     if forensics {
+        let fdump = forensics_run(&workload_config(small));
         // A glitch-free overload run still writes a real object (not
         // `null`): jq gates keyed on `.glitches == 0` can tell "no glitch
         // happened" apart from "the file was never written", instead of
@@ -517,34 +410,8 @@ fn main() {
         std::fs::write("TRACE_forensics.json", fjson).expect("write TRACE_forensics.json");
     }
 
-    // The merged trace carries only the probes the search *counted*
-    // (replications = 1, so replication 0 of every probed count):
-    // speculative jobs vary with pool width, counted ones do not, which
-    // keeps the merged bytes identical at any SPIFFI_WORKERS setting.
-    let counted: std::collections::HashSet<(u32, u32)> =
-        result.probes.iter().map(|&(n, _)| (n, 0)).collect();
-    let counted_streams: Vec<WorkerStream> = streams
-        .iter()
-        .filter(|s| counted.contains(&(s.terminals, s.replication)))
-        .cloned()
-        .collect();
-    let merged = merged_chrome_trace(
-        recorder.events(),
-        sampler.rows(),
-        &counted_streams,
-        fdump.as_ref(),
-    );
-    std::fs::write("TRACE_merged.trace.json", &merged).expect("write TRACE_merged.trace.json");
-
     println!("\nwrote TRACE_run.jsonl ({} lines)", jsonl.lines().count());
-    if dump {
-        dump_state(&workload_config(small));
-    }
     println!("wrote TRACE_run.trace.json (open in https://ui.perfetto.dev)");
-    println!(
-        "wrote TRACE_merged.trace.json ({} worker tracks)",
-        spiffi_trace::merge::canonical_streams(&counted_streams).len()
-    );
     if forensics {
         println!("wrote TRACE_forensics.json");
     }

@@ -18,8 +18,6 @@
 
 #![warn(missing_docs)]
 
-use std::sync::Arc;
-
 use spiffi_core::driver::fan_out;
 use spiffi_core::{
     max_glitch_free_terminals, CapacityResult, CapacitySearch, Engine, RunReport, RunTiming,
@@ -158,12 +156,13 @@ impl Harness {
     /// in grid order (so tables print exactly as the sequential loop
     /// would).
     ///
-    /// The closure receives a harness sharing this one's library *and*
-    /// probe caches but holding a *single-threaded* engine: the
-    /// parallelism budget is spent across grid points here, not nested
-    /// inside each point's searches, while capacity probes already
-    /// resolved by earlier searches (or another grid point over the same
-    /// configuration) replay from the shared probe cache.
+    /// The closure receives a harness whose *single-threaded* engine is a
+    /// [`Engine::sibling`] of this one: same library, probe and snapshot
+    /// caches, same snapshot mode, same journal. The parallelism budget is
+    /// spent across grid points here, not nested inside each point's
+    /// searches, while capacity probes already resolved by earlier
+    /// searches (or another grid point over the same configuration) replay
+    /// from the shared probe cache.
     pub fn sweep<X, R, F>(&self, points: Vec<X>, f: F) -> Vec<R>
     where
         X: Sync,
@@ -172,11 +171,7 @@ impl Harness {
     {
         let inner = Harness {
             preset: self.preset,
-            engine: Engine::with_caches(
-                1,
-                Arc::clone(self.engine.cache()),
-                Arc::clone(self.engine.probe_cache()),
-            ),
+            engine: self.engine.sibling(1),
         };
         fan_out(points.len(), self.engine.threads(), |i| {
             f(&inner, &points[i])
@@ -248,6 +243,7 @@ pub fn mb(bytes: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spiffi_core::SnapshotMode;
 
     #[test]
     fn presets_scale_sensibly() {
@@ -294,6 +290,41 @@ mod tests {
             spiffi_core::run_once(&c)
         };
         assert_eq!(reports[1], direct);
+    }
+
+    #[test]
+    fn sweep_runs_points_in_the_harness_snapshot_mode() {
+        // Regression: the sweep's inner engine used to drop the snapshot
+        // mode, so `SPIFFI_SNAPSHOT=1` never reached a figure's searches.
+        let h = Harness {
+            preset: Preset::Fast,
+            engine: Engine::with_threads(2).with_snapshot_mode(SnapshotMode::Warm),
+        };
+        let mut cfg = SystemConfig::small_test();
+        cfg.topology = spiffi_layout::Topology {
+            nodes: 1,
+            disks_per_node: 1,
+        };
+        let search = CapacitySearch {
+            lo: 2,
+            hi: 8,
+            step: 2,
+            replications: 1,
+        };
+        let caps = h.sweep(vec![16u64, 32], |inner, &mem_mb| {
+            assert_eq!(inner.engine().snapshot_mode(), SnapshotMode::Warm);
+            let mut c = cfg.clone();
+            c.server_memory_bytes = mem_mb * 1024 * 1024;
+            inner
+                .engine()
+                .max_glitch_free_terminals(&c, &search)
+                .max_terminals
+        });
+        assert_eq!(caps.len(), 2);
+        assert!(
+            h.engine().snapshot_cache().captures() >= 1,
+            "no warm snapshot was captured"
+        );
     }
 }
 

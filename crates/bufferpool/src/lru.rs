@@ -106,38 +106,6 @@ impl LruList {
     pub fn find_first<F: FnMut(u32) -> bool>(&self, mut pred: F) -> Option<u32> {
         self.iter().find(|&id| pred(id))
     }
-
-    /// Serialize the chain under `key`: length, then ids LRU→MRU. The
-    /// linked order is the canonical representation, so a re-imported list
-    /// re-exports byte-identically.
-    pub fn snap_export(&self, key: &'static str, w: &mut spiffi_simcore::SnapWriter) {
-        w.usize(key, self.len);
-        for id in self.iter() {
-            w.u32("le", id);
-        }
-    }
-
-    /// Rebuild a chain exported by [`LruList::snap_export`] into this
-    /// (empty) list.
-    pub fn snap_import(
-        &mut self,
-        key: &'static str,
-        r: &mut spiffi_simcore::SnapReader<'_>,
-    ) -> Result<(), spiffi_simcore::SnapError> {
-        debug_assert!(self.is_empty(), "import onto a used LRU list");
-        let n = r.usize(key)?;
-        for _ in 0..n {
-            let id = r.u32("le")?;
-            if id as usize >= self.links.len() || self.links[id as usize].in_list {
-                return Err(spiffi_simcore::SnapError::BadValue {
-                    key: "le",
-                    value: id.to_string(),
-                });
-            }
-            self.push_back(id);
-        }
-        Ok(())
-    }
 }
 
 /// Iterator over an [`LruList`] from least to most recently used.

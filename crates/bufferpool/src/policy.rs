@@ -1,7 +1,5 @@
 //! Page replacement policies.
 
-use spiffi_simcore::{SnapError, SnapReader, SnapWriter};
-
 use crate::lru::LruList;
 use crate::pool::FrameId;
 
@@ -28,12 +26,6 @@ pub trait ReplacementPolicy: Send + Sync {
     /// Deep-copy this policy, LRU chains included, behind a fresh box.
     /// Lets the pool implement `Clone` for snapshot/fork.
     fn clone_box(&self) -> Box<dyn ReplacementPolicy>;
-
-    /// Serialize the policy's chains as snapshot tokens.
-    fn snap_export(&self, w: &mut SnapWriter);
-
-    /// Rebuild the chains into this freshly built (empty) policy.
-    fn snap_import(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
 }
 
 impl Clone for Box<dyn ReplacementPolicy> {
@@ -112,14 +104,6 @@ impl ReplacementPolicy for GlobalLru {
 
     fn clone_box(&self) -> Box<dyn ReplacementPolicy> {
         Box::new(self.clone())
-    }
-
-    fn snap_export(&self, w: &mut SnapWriter) {
-        self.chain.snap_export("pg", w);
-    }
-
-    fn snap_import(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.chain.snap_import("pg", r)
     }
 }
 
@@ -200,16 +184,6 @@ impl ReplacementPolicy for LovePrefetch {
 
     fn clone_box(&self) -> Box<dyn ReplacementPolicy> {
         Box::new(self.clone())
-    }
-
-    fn snap_export(&self, w: &mut SnapWriter) {
-        self.prefetched.snap_export("pp", w);
-        self.referenced.snap_export("pr", w);
-    }
-
-    fn snap_import(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.prefetched.snap_import("pp", r)?;
-        self.referenced.snap_import("pr", r)
     }
 }
 

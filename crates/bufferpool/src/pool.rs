@@ -1,8 +1,7 @@
 //! The buffer pool proper: page table, pinning, in-flight merging, stats.
 
 use spiffi_layout::BlockAddr;
-use spiffi_mpeg::VideoId;
-use spiffi_simcore::{FastHashMap, SnapError, SnapReader, SnapWriter};
+use spiffi_simcore::FastHashMap;
 
 use crate::policy::{PolicyKind, ReplacementPolicy};
 
@@ -379,133 +378,6 @@ impl BufferPool {
     pub fn policy_name(&self) -> &'static str {
         self.policy.name()
     }
-
-    /// Serialize the pool's full mutable state as snapshot tokens. The
-    /// free list and page table are derivable (frames are recycled in
-    /// place, so every frame slot in use maps to its current key and the
-    /// free list is exactly the never-used tail) and are not written.
-    pub fn snap_export(&self, w: &mut SnapWriter) {
-        w.usize("bn", self.frames.len());
-        for fr in &self.frames {
-            w.u32("fk", fr.key.video.0);
-            w.u32("fx", fr.key.index);
-            match fr.state {
-                FrameState::InFlight { is_prefetch } => {
-                    w.bool("ff", true);
-                    w.bool("fp", is_prefetch);
-                }
-                FrameState::Resident { was_prefetch } => {
-                    w.bool("ff", false);
-                    w.bool("fp", was_prefetch);
-                }
-            }
-            w.u32("fn", fr.pins);
-            w.bool("fe", fr.ever_referenced);
-            match fr.last_referencer {
-                Some(t) => {
-                    w.bool("fl", true);
-                    w.u32("fr", t);
-                }
-                None => w.bool("fl", false),
-            }
-            w.usize("fw", fr.waiters.len());
-            for &t in &fr.waiters {
-                w.u64("ft", t);
-            }
-        }
-        let s = &self.stats;
-        w.u64("s0", s.lookups);
-        w.u64("s1", s.resident_hits);
-        w.u64("s2", s.inflight_hits);
-        w.u64("s3", s.misses);
-        w.u64("s4", s.shared_references);
-        w.u64("s5", s.prefetch_inserts);
-        w.u64("s6", s.prefetch_used);
-        w.u64("s7", s.prefetch_wasted);
-        w.u64("s8", s.evictions);
-        w.u64("s9", s.alloc_failures);
-        w.bool("bl", self.last_lookup_shared);
-        w.bool("ba", self.last_alloc_evicted);
-        self.policy.snap_export(w);
-    }
-
-    /// Rebuild a pool of `capacity` frames under `policy` from tokens
-    /// written by [`BufferPool::snap_export`].
-    pub fn snap_import(
-        capacity: usize,
-        policy: PolicyKind,
-        r: &mut SnapReader<'_>,
-    ) -> Result<Self, SnapError> {
-        let mut pool = BufferPool::new(capacity, policy);
-        let n = r.usize("bn")?;
-        if n > capacity {
-            return Err(SnapError::BadValue {
-                key: "bn",
-                value: n.to_string(),
-            });
-        }
-        for i in 0..n {
-            let key = BlockAddr {
-                video: VideoId(r.u32("fk")?),
-                index: r.u32("fx")?,
-            };
-            let in_flight = r.bool("ff")?;
-            let prefetch = r.bool("fp")?;
-            let state = if in_flight {
-                FrameState::InFlight {
-                    is_prefetch: prefetch,
-                }
-            } else {
-                FrameState::Resident {
-                    was_prefetch: prefetch,
-                }
-            };
-            let pins = r.u32("fn")?;
-            let ever_referenced = r.bool("fe")?;
-            let last_referencer = if r.bool("fl")? {
-                Some(r.u32("fr")?)
-            } else {
-                None
-            };
-            let nw = r.usize("fw")?;
-            let mut waiters = Vec::with_capacity(nw);
-            for _ in 0..nw {
-                waiters.push(r.u64("ft")?);
-            }
-            let f = pool.free.pop().expect("n <= capacity");
-            debug_assert_eq!(f.0 as usize, i, "free list pops in slot order");
-            pool.frames.push(Frame {
-                key,
-                state,
-                pins,
-                ever_referenced,
-                last_referencer,
-                waiters,
-            });
-            if pool.map.insert(key, f).is_some() {
-                return Err(SnapError::BadValue {
-                    key: "fk",
-                    value: format!("{}/{}", key.video.0, key.index),
-                });
-            }
-        }
-        pool.stats = PoolStats {
-            lookups: r.u64("s0")?,
-            resident_hits: r.u64("s1")?,
-            inflight_hits: r.u64("s2")?,
-            misses: r.u64("s3")?,
-            shared_references: r.u64("s4")?,
-            prefetch_inserts: r.u64("s5")?,
-            prefetch_used: r.u64("s6")?,
-            prefetch_wasted: r.u64("s7")?,
-            evictions: r.u64("s8")?,
-            alloc_failures: r.u64("s9")?,
-        };
-        pool.last_lookup_shared = r.bool("bl")?;
-        pool.last_alloc_evicted = r.bool("ba")?;
-        pool.policy.snap_import(r)?;
-        Ok(pool)
-    }
 }
 
 impl std::fmt::Debug for BufferPool {
@@ -753,7 +625,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trips_both_policies() {
+    fn clone_behaves_identically_under_both_policies() {
         for kind in [PolicyKind::GlobalLru, PolicyKind::LovePrefetch] {
             // Build a pool mid-workload: resident pages, an in-flight I/O
             // with waiters, references, an eviction, and a failed alloc.
@@ -772,18 +644,7 @@ mod tests {
             p.allocate(key(0, 3), false).unwrap(); // evicts f0
             p.lookup(key(9, 9), Some(3)); // miss
 
-            let mut w = spiffi_simcore::SnapWriter::new();
-            p.snap_export(&mut w);
-            let bytes = w.finish();
-
-            let mut r = spiffi_simcore::SnapReader::new(&bytes);
-            let mut q = BufferPool::snap_import(3, kind, &mut r).unwrap();
-            r.finish().unwrap();
-
-            let mut w2 = spiffi_simcore::SnapWriter::new();
-            q.snap_export(&mut w2);
-            assert_eq!(bytes, w2.finish(), "re-export not byte-identical");
-
+            let mut q = p.clone();
             assert_eq!(q.stats(), p.stats());
             assert_eq!(q.in_use(), p.in_use());
             assert_eq!(q.capacity(), p.capacity());
@@ -800,20 +661,5 @@ mod tests {
             let qv = q.allocate(key(7, 7), false);
             assert_eq!(pv, qv, "divergent eviction under {}", p.policy_name());
         }
-    }
-
-    #[test]
-    fn snapshot_import_rejects_overflow_and_duplicates() {
-        let mut p = pool(2);
-        p.allocate(key(0, 0), false).unwrap();
-        let mut w = spiffi_simcore::SnapWriter::new();
-        p.snap_export(&mut w);
-        let bytes = w.finish();
-        // A one-frame pool still fits a one-frame snapshot…
-        let mut r = spiffi_simcore::SnapReader::new(&bytes);
-        assert!(BufferPool::snap_import(1, PolicyKind::GlobalLru, &mut r).is_ok());
-        // …but a frame count above capacity must fail, not panic.
-        let mut r = spiffi_simcore::SnapReader::new("bn=4");
-        assert!(BufferPool::snap_import(2, PolicyKind::GlobalLru, &mut r).is_err());
     }
 }

@@ -74,36 +74,6 @@ impl TermBitset {
                 .map(move |b| (w * 64 + b) as u32)
         })
     }
-
-    /// Serialize as a sparse list: count, then set indices ascending. The
-    /// ascending order is canonical, so a re-imported set re-exports
-    /// byte-identically regardless of insertion history.
-    pub fn snap_export(&self, w: &mut spiffi_simcore::SnapWriter) {
-        w.u32("mn", self.count);
-        for i in self.iter() {
-            w.u32("mi", i);
-        }
-    }
-
-    /// Rebuild a set exported by [`TermBitset::snap_export`] into this
-    /// (empty) set.
-    pub fn snap_import(
-        &mut self,
-        r: &mut spiffi_simcore::SnapReader<'_>,
-    ) -> Result<(), spiffi_simcore::SnapError> {
-        debug_assert!(self.is_empty(), "import onto a used bitset");
-        let n = r.u32("mn")?;
-        for _ in 0..n {
-            let i = r.u32("mi")?;
-            if !self.insert(i) {
-                return Err(spiffi_simcore::SnapError::BadValue {
-                    key: "mi",
-                    value: i.to_string(),
-                });
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -137,40 +107,6 @@ mod tests {
         // Re-inserting after clear counts afresh.
         assert!(s.insert(97));
         assert_eq!(s.len(), 1);
-    }
-
-    #[test]
-    fn snapshot_round_trips_sparsely() {
-        use spiffi_simcore::{SnapReader, SnapWriter};
-        let mut s = TermBitset::with_capacity(100);
-        for t in [5u32, 0, 63, 64, 200, 4099] {
-            s.insert(t);
-        }
-        let mut w = SnapWriter::new();
-        s.snap_export(&mut w);
-        let bytes = w.finish();
-
-        let mut back = TermBitset::new();
-        let mut r = SnapReader::new(&bytes);
-        back.snap_import(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(back.len(), s.len());
-        assert_eq!(
-            back.iter().collect::<Vec<_>>(),
-            s.iter().collect::<Vec<_>>()
-        );
-        let mut w2 = SnapWriter::new();
-        back.snap_export(&mut w2);
-        assert_eq!(bytes, w2.finish(), "re-export not byte-identical");
-
-        // A duplicate index in the stream is data corruption.
-        let mut w = SnapWriter::new();
-        w.u32("mn", 2);
-        w.u32("mi", 7);
-        w.u32("mi", 7);
-        let bytes = w.finish();
-        let mut dup = TermBitset::new();
-        assert!(dup.snap_import(&mut SnapReader::new(&bytes)).is_err());
     }
 
     #[test]

@@ -11,10 +11,11 @@
 //! cheap [`Arc`] clones.
 //!
 //! The cache is `Sync`: the parallel experiment engine's workers
-//! ([`Engine`](crate::Engine)) share one cache and may race to generate
-//! the same key. That race is benign — generation is deterministic, so
-//! both racers produce identical libraries and whichever insertion loses
-//! simply drops its copy.
+//! ([`Engine`](crate::Engine)) share one cache. Like the
+//! [`SnapshotCache`], it is built on `OnceMemo`, a keyed once-cell: the
+//! first requester of a key generates it while concurrent requesters of
+//! the same key block on that one generation, so every key is built
+//! exactly once and every requester receives the same [`Arc`].
 //!
 //! [`ProbeCache`] applies the same idea one level up: a capacity search
 //! probes the same `(terminal count, replication)` pairs over and over —
@@ -25,13 +26,86 @@
 //! and replayed instead of re-simulated.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use spiffi_mpeg::Library;
 
 use crate::config::SystemConfig;
 use crate::system::VodSystem;
+
+/// A thread-safe keyed memo: each key's value is built once, by the first
+/// caller to ask for it, and shared afterwards.
+///
+/// The map lock is held only to find or insert the key's cell; the build
+/// itself runs under the cell's [`OnceLock`], so other keys stay
+/// serviceable while one is built, and concurrent requesters of the same
+/// key wait for the single build instead of duplicating it.
+pub(crate) struct OnceMemo<K, V> {
+    map: Mutex<HashMap<K, Arc<OnceLock<V>>>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+impl<K, V> Default for OnceMemo<K, V> {
+    fn default() -> Self {
+        OnceMemo {
+            map: Mutex::new(HashMap::new()),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        }
+    }
+}
+
+impl<K, V> std::fmt::Debug for OnceMemo<K, V> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("OnceMemo")
+            .field("len", &self.map.lock().unwrap().len())
+            .field("hits", &self.hits.load(Ordering::Relaxed))
+            .field("misses", &self.misses.load(Ordering::Relaxed))
+            .finish()
+    }
+}
+
+impl<K: Eq + Hash, V: Clone> OnceMemo<K, V> {
+    /// The value for `key`, built with `build` if no caller has built it
+    /// yet. Returns the value and whether it was served without building
+    /// on this call's behalf (`true` = hit).
+    pub(crate) fn get_or_build(&self, key: K, build: impl FnOnce() -> V) -> (V, bool) {
+        let cell = Arc::clone(self.map.lock().unwrap().entry(key).or_default());
+        let mut hit = true;
+        let value = cell
+            .get_or_init(|| {
+                hit = false;
+                build()
+            })
+            .clone();
+        let counter = if hit { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+        (value, hit)
+    }
+
+    /// Distinct keys requested so far.
+    pub(crate) fn len(&self) -> usize {
+        self.map.lock().unwrap().len()
+    }
+
+    /// True when nothing has been requested yet.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Requests served by an earlier (or concurrent) build.
+    pub(crate) fn hits(&self) -> u64 {
+        self.hits.load(Ordering::Relaxed)
+    }
+
+    /// Requests that ran the build.
+    pub(crate) fn misses(&self) -> u64 {
+        self.misses.load(Ordering::Relaxed)
+    }
+}
 
 /// The configuration fields [`VodSystem::generate_library`] actually reads,
 /// collapsed into a hashable identity. Two configurations with equal keys
@@ -72,9 +146,7 @@ impl LibraryKey {
 /// A thread-safe, seed-keyed cache of generated libraries.
 #[derive(Debug, Default)]
 pub struct LibraryCache {
-    map: Mutex<HashMap<LibraryKey, Arc<Library>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    memo: OnceMemo<LibraryKey, Arc<Library>>,
 }
 
 impl LibraryCache {
@@ -84,38 +156,34 @@ impl LibraryCache {
     }
 
     /// The library for `cfg`, generated on first request and shared
-    /// afterwards.
+    /// afterwards. Concurrent first requests for one library generate it
+    /// once; the others wait and share it.
     pub fn get(&self, cfg: &SystemConfig) -> Arc<Library> {
-        let key = LibraryKey::of(cfg);
-        if let Some(lib) = self.map.lock().unwrap().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(lib);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        // Generate outside the lock: other keys stay serviceable while this
-        // one is built, at the cost of a benign duplicate-generation race.
-        let lib = Arc::new(VodSystem::generate_library(cfg));
-        Arc::clone(self.map.lock().unwrap().entry(key).or_insert(lib))
+        self.memo
+            .get_or_build(LibraryKey::of(cfg), || {
+                Arc::new(VodSystem::generate_library(cfg))
+            })
+            .0
     }
 
     /// Distinct libraries currently cached.
     pub fn len(&self) -> usize {
-        self.map.lock().unwrap().len()
+        self.memo.len()
     }
 
     /// True when nothing has been cached yet.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.memo.is_empty()
     }
 
     /// Requests served from the cache.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.memo.hits()
     }
 
     /// Requests that had to generate.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.memo.misses()
     }
 }
 
@@ -144,9 +212,9 @@ type ProbeKey = (Arc<str>, u32, u32);
 /// twice for one configuration — within a search, across the bracket /
 /// bisection phases, and across repeated searches (e.g. the outer
 /// [`capacity_with_confidence`](crate::capacity_with_confidence) loop run
-/// twice, or a warm re-measurement in a bench harness). Like
-/// [`LibraryCache`], concurrent duplicate insertion is a benign race:
-/// clean outcomes are deterministic, so racers insert equal values.
+/// twice, or a warm re-measurement in a bench harness). Concurrent
+/// duplicate insertion is a benign race: clean outcomes are
+/// deterministic, so racers insert equal values.
 #[derive(Debug, Default)]
 pub struct ProbeCache {
     map: Mutex<HashMap<ProbeKey, ProbeOutcome>>,
@@ -241,26 +309,12 @@ type SnapshotKey = (Arc<str>, u32, u32);
 /// the measurement window — O(Δterminals) instead of re-simulating the
 /// whole warm-up.
 ///
-/// Unlike [`ProbeCache`], duplicate capture is *not* a benign race worth
-/// tolerating: a capture replays a full warm-up, so each key holds a
-/// `OnceLock` and concurrent requesters block on the single capturing
-/// thread instead of burning a core each on identical replays.
-#[derive(Default)]
+/// A capture replays a full warm-up, so concurrent requesters of one key
+/// block on the single capturing thread (`OnceMemo`) instead of burning
+/// a core each on identical replays.
+#[derive(Debug, Default)]
 pub struct SnapshotCache {
-    #[allow(clippy::type_complexity)]
-    map: Mutex<HashMap<SnapshotKey, Arc<std::sync::OnceLock<Arc<VodSystem>>>>>,
-    captures: AtomicU64,
-    hits: AtomicU64,
-}
-
-impl std::fmt::Debug for SnapshotCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SnapshotCache")
-            .field("snapshots", &self.len())
-            .field("captures", &self.captures())
-            .field("hits", &self.hits())
-            .finish()
-    }
+    memo: OnceMemo<SnapshotKey, Arc<VodSystem>>,
 }
 
 impl SnapshotCache {
@@ -280,40 +334,28 @@ impl SnapshotCache {
         r: u32,
         build: impl FnOnce() -> VodSystem,
     ) -> (Arc<VodSystem>, bool) {
-        let cell = {
-            let mut map = self.map.lock().unwrap();
-            Arc::clone(map.entry((Arc::clone(fp), base, r)).or_default())
-        };
-        let mut warm = true;
-        let snap = Arc::clone(cell.get_or_init(|| {
-            warm = false;
-            self.captures.fetch_add(1, Ordering::Relaxed);
-            Arc::new(build())
-        }));
-        if warm {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        (snap, warm)
+        self.memo
+            .get_or_build((Arc::clone(fp), base, r), || Arc::new(build()))
     }
 
     /// Distinct snapshots captured and held.
     pub fn len(&self) -> usize {
-        self.map.lock().unwrap().len()
+        self.memo.len()
     }
 
     /// True when nothing has been captured yet.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.memo.is_empty()
     }
 
     /// Requests served from an already-captured snapshot.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.memo.hits()
     }
 
     /// Warm-up replays actually performed.
     pub fn captures(&self) -> u64 {
-        self.captures.load(Ordering::Relaxed)
+        self.memo.misses()
     }
 }
 
@@ -335,6 +377,29 @@ mod tests {
         let c = cache.get(&other);
         assert!(!Arc::ptr_eq(&a, &c), "different seed, different library");
         assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn concurrent_first_requests_generate_once() {
+        // Regression: `get` used to generate outside the lock, so racing
+        // first requests each built (and counted) their own copy.
+        let cache = LibraryCache::new();
+        let cfg = SystemConfig::small_test();
+        let barrier = std::sync::Barrier::new(8);
+        let libs: Vec<Arc<Library>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        cache.get(&cfg)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(cache.misses(), 1, "one library, one generation");
+        assert_eq!(cache.hits(), 7);
+        assert!(libs.iter().all(|l| Arc::ptr_eq(l, &libs[0])));
     }
 
     #[test]

@@ -29,7 +29,8 @@
 //!
 //! The thread count defaults to the machine's available parallelism and
 //! can be overridden with the `SPIFFI_THREADS` environment variable
-//! (`SPIFFI_THREADS=1` selects the exact legacy sequential path).
+//! (`SPIFFI_THREADS=1` runs everything on the caller's thread: the exact
+//! sequential path).
 //!
 //! # Speculative capacity probing
 //!
@@ -56,10 +57,8 @@ use crate::cache::{LibraryCache, ProbeCache, ProbeOutcome, SnapshotCache};
 use crate::config::SystemConfig;
 use crate::journal::{PhaseKind, ProbeRun, RunJournal};
 use crate::metrics::RunReport;
-use crate::process::{ProcessConfig, ProcessPool, SnapshotBlob};
 use crate::system::VodSystem;
-use spiffi_simcore::{SimDuration, SimTime};
-use spiffi_trace::{SampleRow, StreamSpan, WorkerStream};
+use spiffi_simcore::SimDuration;
 
 /// Run one configuration to completion.
 pub fn run_once(cfg: &SystemConfig) -> RunReport {
@@ -79,19 +78,72 @@ pub fn replication_seed(base: u64, r: u32) -> u64 {
     base.wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(r as u64 + 1))
 }
 
+/// The `SPIFFI_*` environment variables the simulator reads. Any other
+/// name under the prefix is rejected by [`Engine::new`]: a misspelt or
+/// retired knob must not be silently ignored.
+pub(crate) const ENV_KNOBS: [&str; 3] = ["SPIFFI_THREADS", "SPIFFI_SNAPSHOT", "SPIFFI_CAL_KERNEL"];
+
+/// The first name in `names` that carries the `SPIFFI_` prefix but is not
+/// one of the [`ENV_KNOBS`], if any.
+pub(crate) fn unknown_env_knob<'a>(names: impl IntoIterator<Item = &'a str>) -> Option<&'a str> {
+    names
+        .into_iter()
+        .find(|n| n.starts_with("SPIFFI_") && !ENV_KNOBS.contains(n))
+}
+
+/// Exit with a diagnostic (status 2) if the environment sets a `SPIFFI_*`
+/// variable the simulator does not read. Scanning the environment copies
+/// all of it, so the scan runs once per process, when the first engine is
+/// built; binaries build every engine after start-up.
+fn reject_unknown_env_knobs() {
+    static SCANNED: std::sync::Once = std::sync::Once::new();
+    SCANNED.call_once(|| {
+        let names: Vec<String> = std::env::vars_os()
+            .map(|(k, _)| k.to_string_lossy().into_owned())
+            .collect();
+        if let Some(bad) = unknown_env_knob(names.iter().map(String::as_str)) {
+            eprintln!(
+                "spiffi: unknown environment variable {bad} \
+                 (the simulator reads only {})",
+                ENV_KNOBS.join(", ")
+            );
+            std::process::exit(2);
+        }
+    });
+}
+
+/// Parse a `SPIFFI_THREADS` setting: unset or empty selects the machine's
+/// available parallelism (`None`), a positive integer that many threads
+/// (whitespace-trimmed). Anything else — `0`, a negative number, a word —
+/// is an error carrying the offending text.
+pub(crate) fn parse_threads(v: Option<&str>) -> Result<Option<usize>, String> {
+    let t = v.unwrap_or("").trim();
+    if t.is_empty() {
+        return Ok(None);
+    }
+    match t.parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(Some(n)),
+        _ => Err(t.to_string()),
+    }
+}
+
 /// Worker-thread budget for the experiment engine: the `SPIFFI_THREADS`
-/// environment variable when set to a positive integer (`1` = exact
-/// legacy sequential path), otherwise the machine's available parallelism.
+/// environment variable when set (`1` = the sequential search, run on the
+/// caller's thread), otherwise the machine's available parallelism. A
+/// value that is not a positive integer is rejected with a diagnostic and
+/// a non-zero exit, like the strict `SPIFFI_SNAPSHOT` parse.
 pub fn engine_threads() -> usize {
-    std::env::var("SPIFFI_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
+    let raw = std::env::var("SPIFFI_THREADS").ok();
+    match parse_threads(raw.as_deref()) {
+        Ok(Some(n)) => n,
+        Ok(None) => std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1),
+        Err(bad) => {
+            eprintln!("spiffi: bad SPIFFI_THREADS value {bad:?} (expected a positive integer)");
+            std::process::exit(2);
+        }
+    }
 }
 
 /// How capacity probes reuse the shared warm-up across terminal counts.
@@ -159,41 +211,6 @@ pub fn snapshot_mode_from_env() -> SnapshotMode {
     }
 }
 
-/// Parse a `SPIFFI_TELEMETRY` setting: unset, empty, `0` or `off` turn
-/// worker telemetry off (`None`); a positive integer is the sampling
-/// interval in **milliseconds** (converted to nanoseconds). Anything else
-/// is an error carrying the offending text — a typo must not silently run
-/// without the telemetry the experiment was supposed to collect.
-pub(crate) fn parse_telemetry_env(v: Option<&str>) -> Result<Option<u64>, String> {
-    let t = v.unwrap_or("").trim();
-    if t.is_empty() || t == "0" || t.eq_ignore_ascii_case("off") {
-        return Ok(None);
-    }
-    match t.parse::<u64>() {
-        Ok(ms) if ms > 0 && ms <= u64::MAX / 1_000_000 => Ok(Some(ms * 1_000_000)),
-        _ => Err(t.to_string()),
-    }
-}
-
-/// Telemetry request from the `SPIFFI_TELEMETRY` environment variable: a
-/// positive integer selects that sampling interval in milliseconds,
-/// `0`/`off`/unset disables telemetry. Any other value is rejected with a
-/// diagnostic and a non-zero exit, matching the strict `SPIFFI_SNAPSHOT`
-/// parse.
-pub fn telemetry_from_env() -> Option<u64> {
-    let raw = std::env::var("SPIFFI_TELEMETRY").ok();
-    match parse_telemetry_env(raw.as_deref()) {
-        Ok(t) => t,
-        Err(bad) => {
-            eprintln!(
-                "spiffi: unknown SPIFFI_TELEMETRY value {bad:?} \
-                 (expected \"0\"/\"off\" or a sampling interval in milliseconds)"
-            );
-            std::process::exit(2);
-        }
-    }
-}
-
 /// Run `f(i)` for every `i < n` on at most `threads` OS threads, returning
 /// the results slotted by index.
 ///
@@ -250,13 +267,6 @@ pub struct Engine {
     snapshots: Arc<SnapshotCache>,
     snapshot: SnapshotMode,
     journal: Arc<RunJournal>,
-    process: Option<ProcessConfig>,
-    /// Worker probe-sampling interval in nanoseconds; `None` runs workers
-    /// with the zero-cost [`spiffi_trace::NoopProbe`].
-    telemetry: Option<u64>,
-    /// Per-worker telemetry streams drained from process pools, waiting
-    /// for [`Engine::take_worker_telemetry`].
-    worker_telemetry: Mutex<Vec<WorkerStream>>,
 }
 
 impl Default for Engine {
@@ -267,14 +277,13 @@ impl Default for Engine {
 
 impl Engine {
     /// An engine with the ambient thread budget ([`engine_threads`]),
-    /// fresh caches, and — when `SPIFFI_WORKERS` selects one — the ambient
-    /// process-level backend ([`ProcessConfig::from_env`]).
+    /// the ambient snapshot mode ([`snapshot_mode_from_env`]) and fresh
+    /// caches. Exits with a diagnostic if the environment sets a
+    /// `SPIFFI_*` variable other than `SPIFFI_THREADS`, `SPIFFI_SNAPSHOT`
+    /// and `SPIFFI_CAL_KERNEL`.
     pub fn new() -> Self {
-        let mut engine = Engine::with_threads(engine_threads());
-        engine.process = ProcessConfig::from_env();
-        engine.snapshot = snapshot_mode_from_env();
-        engine.telemetry = telemetry_from_env();
-        engine
+        reject_unknown_env_knobs();
+        Engine::with_threads(engine_threads()).with_snapshot_mode(snapshot_mode_from_env())
     }
 
     /// An engine with an explicit thread budget (tests of the determinism
@@ -304,9 +313,22 @@ impl Engine {
             snapshots: Arc::new(SnapshotCache::new()),
             snapshot: SnapshotMode::Off,
             journal: Arc::new(RunJournal::new()),
-            process: None,
-            telemetry: None,
-            worker_telemetry: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// An engine with a `threads` budget that shares everything else with
+    /// this one: the library, probe and snapshot caches, the snapshot
+    /// mode, and the run journal. Grid sweeps use it to spend their
+    /// parallelism across grid points while every point still runs on the
+    /// configured engine.
+    pub fn sibling(&self, threads: usize) -> Self {
+        Engine {
+            threads: threads.max(1),
+            cache: Arc::clone(&self.cache),
+            probes: Arc::clone(&self.probes),
+            snapshots: Arc::clone(&self.snapshots),
+            snapshot: self.snapshot,
+            journal: Arc::clone(&self.journal),
         }
     }
 
@@ -317,50 +339,9 @@ impl Engine {
         self
     }
 
-    /// Attach a process-level execution backend: capacity-search probe
-    /// replications run in a pool of `spiffi-worker` child processes
-    /// instead of in-process threads. Results stay byte-identical to the
-    /// in-thread engine at any worker count (same slotting contract, same
-    /// probe cache); see [`crate::process`] for the failure policy.
-    pub fn with_process(mut self, process: ProcessConfig) -> Self {
-        self.process = Some(process);
-        self
-    }
-
-    /// Request worker-side telemetry at the given probe-sampling interval
-    /// in nanoseconds (overriding the ambient `SPIFFI_TELEMETRY` setting
-    /// [`Engine::new`] read). `None` runs workers with the zero-cost noop
-    /// probe. Purely observational: search results are byte-identical with
-    /// telemetry on or off.
-    pub fn with_telemetry(mut self, interval_ns: Option<u64>) -> Self {
-        self.telemetry = interval_ns;
-        self
-    }
-
-    /// The worker probe-sampling interval in nanoseconds, if telemetry is
-    /// requested.
-    pub fn telemetry(&self) -> Option<u64> {
-        self.telemetry
-    }
-
-    /// Drain the per-worker telemetry streams collected by process-backed
-    /// searches since the last call (empty unless telemetry is on and a
-    /// process-backed search has run). Feed these to
-    /// [`spiffi_trace::merge::merged_chrome_trace`] for a multi-track
-    /// trace.
-    pub fn take_worker_telemetry(&self) -> Vec<WorkerStream> {
-        std::mem::take(&mut self.worker_telemetry.lock().unwrap())
-    }
-
     /// The worker-thread budget.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Process workers the engine will spawn per capacity search (0 when
-    /// the process backend is off).
-    pub fn process_workers(&self) -> usize {
-        self.process.as_ref().map_or(0, |p| p.workers)
     }
 
     /// The engine's library cache.
@@ -419,7 +400,9 @@ impl Engine {
     /// The probe sequence is the classic sequential bisection's, replayed
     /// by a `SearchCursor`; probe outcomes are assembled per replication
     /// from the engine's [`ProbeCache`], simulating only the pairs the
-    /// cache is missing. Above one thread, idle workers speculatively run
+    /// cache is missing. At one thread the search runs on the caller's
+    /// thread and resolves the cursor's pending probe one replication at
+    /// a time. Above one thread, idle workers speculatively run
     /// replications of the counts the search could visit next (both
     /// bisection branches are known in advance), so the wall-clock
     /// critical path shrinks while `max_terminals`, `probes` and
@@ -461,125 +444,9 @@ impl Engine {
             None => ProbeCache::fingerprint(&probe_cfg),
         };
         let warm = mode == SnapshotMode::Warm;
-        let cfg = &probe_cfg;
-        let result = if let Some(pcfg) = &self.process {
-            match ProcessPool::spawn(pcfg.clone().with_telemetry(self.telemetry)) {
-                Ok(pool) => ProcessSearch::new(self, cfg, search, &fp, base, warm, pool).run(),
-                Err(e) => {
-                    // Spawning unavailable (missing binary, fork failure):
-                    // degrade to the in-process engine rather than fail the
-                    // search — the results are byte-identical either way.
-                    eprintln!(
-                        "spiffi engine: process backend unavailable ({e}); \
-                         using in-process execution"
-                    );
-                    self.search_in_process(cfg, search, &fp, base, warm)
-                }
-            }
-        } else {
-            self.search_in_process(cfg, search, &fp, base, warm)
-        };
+        let result = SpecSearch::new(self, &probe_cfg, search, &fp, base, warm).run();
         self.journal.record_search(result.speculative_events);
         result
-    }
-
-    /// The in-process search paths: the exact legacy sequential loop at
-    /// one thread, the speculative thread team above.
-    fn search_in_process(
-        &self,
-        cfg: &SystemConfig,
-        search: &CapacitySearch,
-        fp: &Arc<str>,
-        base: Option<u32>,
-        warm: bool,
-    ) -> CapacityResult {
-        if self.threads <= 1 {
-            self.search_sequential(cfg, search, fp, base, warm)
-        } else {
-            SpecSearch::new(self, cfg, search, fp, base, warm).run()
-        }
-    }
-
-    /// The exact legacy search loop, with cache consultation: probes are
-    /// resolved in cursor order, one replication at a time, stopping at
-    /// the first glitching replication just as the cancel protocol does.
-    fn search_sequential(
-        &self,
-        cfg: &SystemConfig,
-        search: &CapacitySearch,
-        fp: &Arc<str>,
-        base: Option<u32>,
-        warm: bool,
-    ) -> CapacityResult {
-        let mut cursor = SearchCursor::new(search);
-        let mut probes = Vec::new();
-        let mut counted = 0u64;
-        while let Some(n) = cursor.pending() {
-            let mut glitches = 0u64;
-            for r in 0..search.replications {
-                let out = match self.probes.get(fp, n, r) {
-                    Some(out) => {
-                        self.journal.record_probe(ProbeRun {
-                            terminals: n,
-                            replication: r,
-                            cached: true,
-                            clean: true,
-                            worker: false,
-                            events: out.events,
-                            wall_nanos: 0,
-                        });
-                        out
-                    }
-                    None => {
-                        // A fresh cancel flag and in-order replications:
-                        // nothing ever truncates the run, so the outcome
-                        // is the deterministic standalone one and may be
-                        // cached unconditionally.
-                        let cancel = AtomicU32::new(u32::MAX);
-                        let started = std::time::Instant::now();
-                        let sys = self.probe_system(cfg, fp, base, warm, n, r);
-                        let sim_started = std::time::Instant::now();
-                        let report = sys.run_glitch_probe(&cancel, r);
-                        self.journal.record_phase(
-                            PhaseKind::Simulate,
-                            sim_started.elapsed().as_nanos() as u64,
-                        );
-                        self.journal.record_probe(ProbeRun {
-                            terminals: n,
-                            replication: r,
-                            cached: false,
-                            clean: true,
-                            worker: false,
-                            events: report.events_processed,
-                            wall_nanos: started.elapsed().as_nanos() as u64,
-                        });
-                        let out = ProbeOutcome {
-                            glitches: report.glitches,
-                            events: report.events_processed,
-                        };
-                        self.probes.insert(fp, n, r, out);
-                        out
-                    }
-                };
-                glitches += out.glitches;
-                counted += out.events;
-                if out.glitches > 0 {
-                    break;
-                }
-            }
-            probes.push((n, glitches));
-            cursor.advance(glitches);
-        }
-        let (max_terminals, below_bracket) = cursor.answer();
-        CapacityResult {
-            max_terminals,
-            probes,
-            events_processed: counted,
-            // Sequential resolution never runs a replication the search
-            // does not count.
-            speculative_events: 0,
-            below_bracket,
-        }
     }
 
     /// The assembled system for replication `r` of a probe at `n`
@@ -877,12 +744,16 @@ struct SpecState {
     done: bool,
 }
 
-/// One speculative run of [`Engine::max_glitch_free_terminals`]: a team
-/// of workers that drive the authoritative [`SearchCursor`] forward as
-/// probe outcomes resolve, and spend idle slots on replications of
-/// counts the search may visit next. See the
-/// [module docs](self#speculative-capacity-probing) for the determinism
-/// argument.
+/// One run of [`Engine::max_glitch_free_terminals`]: a team of workers
+/// that drive the authoritative [`SearchCursor`] forward as probe outcomes
+/// resolve, and spend idle slots on replications of counts the search may
+/// visit next. See the [module docs](self#speculative-capacity-probing)
+/// for the determinism argument.
+///
+/// With a one-thread engine the single worker runs on the caller's
+/// thread. It then always picks the first missing replication of the
+/// cursor's pending count, nothing is in flight to cancel or abort it, and
+/// the search is exactly the sequential bisection loop.
 struct SpecSearch<'a> {
     engine: &'a Engine,
     cfg: &'a SystemConfig,
@@ -940,11 +811,15 @@ impl<'a> SpecSearch<'a> {
     }
 
     fn run(self) -> CapacityResult {
-        std::thread::scope(|s| {
-            for _ in 0..self.engine.threads {
-                s.spawn(|| self.worker());
-            }
-        });
+        if self.engine.threads <= 1 {
+            self.worker();
+        } else {
+            std::thread::scope(|s| {
+                for _ in 0..self.engine.threads {
+                    s.spawn(|| self.worker());
+                }
+            });
+        }
         let st = self.state.into_inner().unwrap();
         let (max_terminals, below_bracket) = st.cursor.answer();
         // Waste = everything executed minus the executed events that the
@@ -1002,7 +877,6 @@ impl<'a> SpecSearch<'a> {
                         replication: r,
                         cached: false,
                         clean,
-                        worker: false,
                         events: report.events_processed,
                         wall_nanos: started.elapsed().as_nanos() as u64,
                     });
@@ -1079,7 +953,6 @@ impl<'a> SpecSearch<'a> {
             replication: r,
             cached: true,
             clean: true,
-            worker: false,
             events: out.events,
             wall_nanos: 0,
         });
@@ -1146,466 +1019,6 @@ impl<'a> SpecSearch<'a> {
                     clean.advance(0);
                     queue.push_back(clean);
                 }
-            }
-        }
-        None
-    }
-}
-
-/// One process-backed run of [`Engine::max_glitch_free_terminals`]: the
-/// same authoritative [`SearchCursor`] and slotting contract as
-/// [`SpecSearch`], but probe replications execute in a
-/// [`ProcessPool`] of `spiffi-worker` children instead of in-process
-/// threads. The dispatcher itself is single-threaded: it drives the
-/// cursor over known outcomes, keeps idle workers fed with the counts the
-/// search could visit next, and absorbs results as they land.
-///
-/// Determinism is inherited, not re-argued: every job is a *standalone*
-/// replication (fresh cancel flag, never truncated), so its outcome is
-/// the deterministic clean one regardless of which worker incarnation
-/// computed it — or whether the pool gave up and this dispatcher
-/// simulated it in-process after a quarantine. Counted totals are
-/// assembled from those outcomes in cursor order, exactly like the
-/// sequential loop.
-struct ProcessSearch<'a> {
-    engine: &'a Engine,
-    cfg: &'a SystemConfig,
-    replications: u32,
-    fp: &'a Arc<str>,
-    /// Marginal-probe base count (see [`SnapshotMode`]), `None` when off.
-    base: Option<u32>,
-    /// Serve probes above the base from warm snapshots: in-process
-    /// fallbacks fork the engine's [`SnapshotCache`] directly, and worker
-    /// jobs carry a `snap=` digest referencing a serialized copy of the
-    /// same snapshot ([`ProcessSearch::snapshot_blob`]) that the pool
-    /// ships down each worker's stdin once per incarnation.
-    warm: bool,
-    /// Serialized snapshot frames by replication index (the fingerprint
-    /// and base are fixed for one search), each built at most once.
-    /// The second element is the base prefix's event count, for the
-    /// journal's saved-events accounting on reuse.
-    blobs: HashMap<u32, (Arc<SnapshotBlob>, u64)>,
-    pool: ProcessPool,
-    cursor: SearchCursor,
-    probes: Vec<(u32, u64)>,
-    counted_events: u64,
-    /// Clean outcomes known to this search (cache, worker, or fallback).
-    outcomes: HashMap<(u32, u32), ProbeOutcome>,
-    /// Events of replications executed *for* this call (worker or
-    /// fallback), for waste accounting.
-    fresh: HashMap<(u32, u32), u64>,
-    /// Pairs currently on a worker (or in the pool's retry queue).
-    inflight: HashSet<(u32, u32)>,
-    /// Every event executed for this call, counted or speculative.
-    executed_events: u64,
-}
-
-impl<'a> ProcessSearch<'a> {
-    fn new(
-        engine: &'a Engine,
-        cfg: &'a SystemConfig,
-        search: &CapacitySearch,
-        fp: &'a Arc<str>,
-        base: Option<u32>,
-        warm: bool,
-        pool: ProcessPool,
-    ) -> Self {
-        ProcessSearch {
-            engine,
-            cfg,
-            replications: search.replications,
-            fp,
-            base,
-            warm,
-            blobs: HashMap::new(),
-            pool,
-            cursor: SearchCursor::new(search),
-            probes: Vec::new(),
-            counted_events: 0,
-            outcomes: HashMap::new(),
-            fresh: HashMap::new(),
-            inflight: HashSet::new(),
-            executed_events: 0,
-        }
-    }
-
-    fn run(mut self) -> CapacityResult {
-        loop {
-            self.drive();
-            if self.cursor.pending().is_none() {
-                break;
-            }
-            self.submit_frontier();
-            match self.pool.wait_one() {
-                Some(resolved) => {
-                    let pair = (resolved.terminals, resolved.replication);
-                    self.inflight.remove(&pair);
-                    match resolved.outcome {
-                        Some(out) => self.absorb_worker_result(pair, out),
-                        // Quarantined after its attempts: the job is
-                        // poisoned as far as the pool is concerned, but
-                        // its outcome is still required and deterministic
-                        // — simulate it here.
-                        None => self.resolve_in_process(pair),
-                    }
-                }
-                None => {
-                    // Nothing in flight and nothing submittable landed on
-                    // a worker (the pool is fully degraded). Guarantee
-                    // progress by resolving the cursor's own probe here.
-                    if let Some(pair) = self.first_missing_pair() {
-                        self.resolve_in_process(pair);
-                    }
-                }
-            }
-        }
-        self.engine.journal.record_worker_activity(
-            self.pool.retries(),
-            self.pool.respawns(),
-            self.pool.quarantined(),
-        );
-        self.engine
-            .journal
-            .record_snapshot_shipping(self.pool.snapshot_bytes_shipped(), self.pool.worker_forks());
-        self.fold_telemetry();
-        let (max_terminals, below_bracket) = self.cursor.answer();
-        // Waste accounting mirrors SpecSearch: everything executed for
-        // this call minus the executed events the search counted (counted
-        // pairs deduplicated — a `lo == hi` bracket counts one pair twice
-        // while executing it once).
-        let mut counted_pairs: HashSet<(u32, u32)> = HashSet::new();
-        for &(n, _) in &self.probes {
-            for r in 0..self.replications {
-                let out = self.outcomes[&(n, r)];
-                counted_pairs.insert((n, r));
-                if out.glitches > 0 {
-                    break;
-                }
-            }
-        }
-        let fresh_counted: u64 = counted_pairs
-            .iter()
-            .filter_map(|pair| self.fresh.get(pair))
-            .sum();
-        CapacityResult {
-            max_terminals,
-            probes: self.probes,
-            events_processed: self.counted_events,
-            speculative_events: self.executed_events.saturating_sub(fresh_counted),
-            below_bracket,
-        }
-    }
-
-    /// Advance the authoritative cursor over every probe whose counted
-    /// outcome is fully known (same shape as [`SpecSearch::drive`]).
-    fn drive(&mut self) {
-        while let Some(n) = self.cursor.pending() {
-            match self.probe_total(n) {
-                Some((glitches, events)) => {
-                    self.probes.push((n, glitches));
-                    self.counted_events += events;
-                    self.cursor.advance(glitches);
-                }
-                None => return,
-            }
-        }
-    }
-
-    /// The counted `(glitch total, event total)` of a probe at `n`, if
-    /// every replication outcome it depends on is known.
-    fn probe_total(&mut self, n: u32) -> Option<(u64, u64)> {
-        let mut glitches = 0u64;
-        let mut events = 0u64;
-        for r in 0..self.replications {
-            let out = self.lookup(n, r)?;
-            glitches += out.glitches;
-            events += out.events;
-            if out.glitches > 0 {
-                break;
-            }
-        }
-        Some((glitches, events))
-    }
-
-    /// The clean outcome of `(n, r)` if known: this search's memo first,
-    /// the engine-wide cache second.
-    fn lookup(&mut self, n: u32, r: u32) -> Option<ProbeOutcome> {
-        if let Some(&out) = self.outcomes.get(&(n, r)) {
-            return Some(out);
-        }
-        let out = self.engine.probes.get(self.fp, n, r)?;
-        self.engine.journal.record_probe(ProbeRun {
-            terminals: n,
-            replication: r,
-            cached: true,
-            clean: true,
-            worker: false,
-            events: out.events,
-            wall_nanos: 0,
-        });
-        self.outcomes.insert((n, r), out);
-        Some(out)
-    }
-
-    /// The serialized base-prefix snapshot frame to ship alongside a job
-    /// at `(n, r)`, if warm forking applies (`warm` set, a base in play,
-    /// and terminals to spare beyond it).
-    ///
-    /// The first consultation per replication replays the base prefix
-    /// through the engine's [`SnapshotCache`] (exactly the in-process
-    /// warm path of [`Engine::probe_system`]) and serializes it once;
-    /// repeats reuse the stored frame. Every consultation is journaled
-    /// as a snapshot capture or hit so the warm-path counters stay
-    /// meaningful under the worker backend.
-    fn snapshot_blob(&mut self, n: u32, r: u32) -> Option<Arc<SnapshotBlob>> {
-        let b = self.base?;
-        if !self.warm || n <= b {
-            return None;
-        }
-        if let Some((blob, prefix_events)) = self.blobs.get(&r) {
-            self.engine
-                .journal
-                .record_snapshot(true, n - b, *prefix_events);
-            return Some(Arc::clone(blob));
-        }
-        let mut c = self.cfg.clone();
-        c.n_terminals = b;
-        c.seed = replication_seed(self.cfg.seed, r);
-        let lib = self.engine.cache.get(&c);
-        let (snap, hit) = self.engine.snapshots.get_or_capture(self.fp, b, r, || {
-            let t0 = std::time::Instant::now();
-            let mut sys = VodSystem::with_library_marginal(c, lib, b);
-            sys.replay_to_snapshot();
-            self.engine
-                .journal
-                .record_phase(PhaseKind::Capture, t0.elapsed().as_nanos() as u64);
-            sys
-        });
-        self.engine
-            .journal
-            .record_snapshot(hit, n - b, snap.events_processed());
-        let t0 = std::time::Instant::now();
-        let blob = Arc::new(SnapshotBlob::new(b, r, &snap.snap_export()));
-        self.engine
-            .journal
-            .record_phase(PhaseKind::Capture, t0.elapsed().as_nanos() as u64);
-        self.blobs
-            .insert(r, (Arc::clone(&blob), snap.events_processed()));
-        Some(blob)
-    }
-
-    /// Keep idle workers fed: breadth-first over the cursor's reachable
-    /// futures (the priority order of [`SpecSearch::pick_task`]), submit
-    /// every missing, not-in-flight replication until the pool has no
-    /// idle worker left.
-    fn submit_frontier(&mut self) {
-        let mut budget = self.pool.idle_workers();
-        if budget == 0 {
-            return;
-        }
-        let mut queue: VecDeque<SearchCursor> = VecDeque::new();
-        queue.push_back(self.cursor);
-        let mut seen: HashSet<u32> = HashSet::new();
-        while let Some(cursor) = queue.pop_front() {
-            let Some(n) = cursor.pending() else { continue };
-            if !seen.insert(n) || seen.len() > SpecSearch::MAX_FRONTIER {
-                continue;
-            }
-            let mut known_glitch = false;
-            for r in 0..self.replications {
-                match self.lookup(n, r) {
-                    Some(out) if out.glitches > 0 => {
-                        known_glitch = true;
-                        break;
-                    }
-                    Some(_) => {}
-                    None => {
-                        if self.inflight.insert((n, r)) {
-                            let blob = self.snapshot_blob(n, r);
-                            self.pool.submit(n, r, self.base, self.cfg, blob);
-                            budget -= 1;
-                            if budget == 0 {
-                                return;
-                            }
-                        }
-                    }
-                }
-            }
-            match self.probe_total(n) {
-                Some((glitches, _)) => {
-                    let mut next = cursor;
-                    next.advance(glitches);
-                    queue.push_back(next);
-                }
-                None if known_glitch => {
-                    let mut next = cursor;
-                    next.advance(1);
-                    queue.push_back(next);
-                }
-                None => {
-                    let mut glitch = cursor;
-                    glitch.advance(1);
-                    queue.push_back(glitch);
-                    let mut clean = cursor;
-                    clean.advance(0);
-                    queue.push_back(clean);
-                }
-            }
-        }
-    }
-
-    /// A worker's clean outcome for `pair` lands exactly like a fresh
-    /// in-thread simulation: journaled, cached engine-wide, memoized.
-    fn absorb_worker_result(&mut self, pair: (u32, u32), out: crate::wire::WorkerOutcome) {
-        let (n, r) = pair;
-        // With telemetry on, the worker's own span deltas carry a
-        // finer-grained simulate wall; without it, the job's reported wall
-        // is the best available simulate-phase estimate.
-        if self.engine.telemetry.is_none() {
-            self.engine
-                .journal
-                .record_phase(PhaseKind::Simulate, out.wall_nanos);
-        }
-        self.engine.journal.record_probe(ProbeRun {
-            terminals: n,
-            replication: r,
-            cached: false,
-            clean: true,
-            worker: true,
-            events: out.events,
-            wall_nanos: out.wall_nanos,
-        });
-        let outcome = ProbeOutcome {
-            glitches: out.glitches,
-            events: out.events,
-        };
-        self.executed_events += out.events;
-        self.engine.probes.insert(self.fp, n, r, outcome);
-        self.outcomes.insert(pair, outcome);
-        self.fresh.insert(pair, out.events);
-    }
-
-    /// Deterministic in-process fallback for a pair the pool could not
-    /// resolve: the standalone replication the worker would have run.
-    fn resolve_in_process(&mut self, pair: (u32, u32)) {
-        let (n, r) = pair;
-        if self.outcomes.contains_key(&pair) {
-            return;
-        }
-        let cancel = AtomicU32::new(u32::MAX);
-        let started = std::time::Instant::now();
-        let sys = self
-            .engine
-            .probe_system(self.cfg, self.fp, self.base, self.warm, n, r);
-        let sim_started = std::time::Instant::now();
-        let report = sys.run_glitch_probe(&cancel, r);
-        self.engine
-            .journal
-            .record_phase(PhaseKind::Simulate, sim_started.elapsed().as_nanos() as u64);
-        self.engine.journal.record_probe(ProbeRun {
-            terminals: n,
-            replication: r,
-            cached: false,
-            clean: true,
-            worker: false,
-            events: report.events_processed,
-            wall_nanos: started.elapsed().as_nanos() as u64,
-        });
-        let outcome = ProbeOutcome {
-            glitches: report.glitches,
-            events: report.events_processed,
-        };
-        self.executed_events += report.events_processed;
-        self.engine.probes.insert(self.fp, n, r, outcome);
-        self.outcomes.insert(pair, outcome);
-        self.fresh.insert(pair, report.events_processed);
-    }
-
-    /// Fold everything the pool observed into the engine: telemetry
-    /// frames become [`WorkerStream`]s stashed for
-    /// [`Engine::take_worker_telemetry`], their journal deltas land in the
-    /// per-phase wall-time breakdown, snapshot shipping time is charged to
-    /// the `ship` phase, and crashed-worker faults (with their stderr
-    /// tails) are journaled. Purely observational — runs after the cursor
-    /// has its answer and touches no search state.
-    fn fold_telemetry(&mut self) {
-        self.engine
-            .journal
-            .record_phase(PhaseKind::Ship, self.pool.ship_nanos());
-        for fault in self.pool.take_faults() {
-            self.engine.journal.record_worker_fault(fault);
-        }
-        let telemetry = self.pool.take_telemetry();
-        let dropped = self.pool.telemetry_dropped();
-        if telemetry.is_empty() && dropped == 0 {
-            return;
-        }
-        let frames = telemetry.len() as u64;
-        let mut samples_total = 0u64;
-        let mut streams = Vec::with_capacity(telemetry.len());
-        for wt in telemetry {
-            let rec = wt.record;
-            samples_total += rec.samples.len() as u64;
-            let d = &rec.delta;
-            self.engine
-                .journal
-                .record_phase(PhaseKind::Import, d.import_wall_nanos);
-            self.engine
-                .journal
-                .record_phase(PhaseKind::Fork, d.fork_wall_nanos);
-            self.engine
-                .journal
-                .record_phase(PhaseKind::Simulate, d.simulate_wall_nanos);
-            streams.push(WorkerStream {
-                terminals: wt.terminals,
-                replication: wt.replication,
-                slot: wt.slot,
-                gen: wt.gen,
-                interval: SimDuration(rec.interval_ns),
-                report_disk_utilization: d.avg_disk_utilization,
-                glitches: d.glitches,
-                samples: rec
-                    .samples
-                    .into_iter()
-                    .map(|s| SampleRow {
-                        t: SimTime(s.t_ns),
-                        disk_util: s.disk_util,
-                        net_bytes: s.net_bytes,
-                        pool_in_use: s.pool_in_use,
-                        outstanding_deadlines: s.outstanding_deadlines,
-                    })
-                    .collect(),
-                spans: rec
-                    .spans
-                    .into_iter()
-                    .map(|sp| StreamSpan {
-                        label: sp.label,
-                        sim_start: SimTime(sp.sim_start),
-                        sim_end: SimTime(sp.sim_end),
-                        wall_nanos: sp.wall_nanos,
-                    })
-                    .collect(),
-            });
-        }
-        self.engine
-            .journal
-            .record_telemetry(frames, samples_total, dropped);
-        self.engine
-            .worker_telemetry
-            .lock()
-            .unwrap()
-            .append(&mut streams);
-    }
-
-    /// The first replication the cursor's own pending probe is missing —
-    /// the progress guarantee when the pool is fully degraded.
-    fn first_missing_pair(&mut self) -> Option<(u32, u32)> {
-        let n = self.cursor.pending()?;
-        for r in 0..self.replications {
-            match self.lookup(n, r) {
-                Some(out) if out.glitches > 0 => return None,
-                Some(_) => {}
-                None => return Some((n, r)),
             }
         }
         None
@@ -1777,33 +1190,31 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_env_values_parse_or_error() {
-        for off in [
-            None,
-            Some(""),
-            Some("  "),
-            Some("0"),
-            Some("off"),
-            Some("OFF"),
-        ] {
-            assert_eq!(parse_telemetry_env(off), Ok(None), "{off:?}");
+    fn thread_env_values_parse_or_error() {
+        for unset in [None, Some(""), Some("  ")] {
+            assert_eq!(parse_threads(unset), Ok(None), "{unset:?}");
         }
-        // Milliseconds in, nanoseconds out.
-        assert_eq!(parse_telemetry_env(Some("1")), Ok(Some(1_000_000)));
-        assert_eq!(parse_telemetry_env(Some(" 250 ")), Ok(Some(250_000_000)));
-        // Garbage (including values that would overflow the ms→ns
-        // conversion) is rejected, not silently disabled.
-        for bad in ["-1", "fast", "1.5", "1s", "99999999999999999999"] {
-            assert_eq!(parse_telemetry_env(Some(bad)), Err(bad.trim().to_string()));
+        assert_eq!(parse_threads(Some("1")), Ok(Some(1)));
+        assert_eq!(parse_threads(Some(" 8 ")), Ok(Some(8)));
+        // Regression: `0` and garbage used to fall back silently to the
+        // machine's parallelism. They must be rejected (the env reader
+        // exits with a diagnostic).
+        for bad in ["0", "abc", "-2", "1.5", "two", "99999999999999999999999"] {
+            assert_eq!(parse_threads(Some(bad)), Err(bad.to_string()));
         }
     }
 
     #[test]
-    fn engine_threads_respects_the_env_override() {
-        // `engine_threads` reads the environment on every call; tests that
-        // need a fixed budget use `Engine::with_threads` instead, so here
-        // we only check the parse without mutating the process env.
-        assert!(engine_threads() >= 1);
+    fn only_the_three_env_knobs_are_accepted() {
+        assert_eq!(unknown_env_knob(ENV_KNOBS), None);
+        assert_eq!(unknown_env_knob(["PATH", "HOME", "SPIFFI"]), None);
+        // Retired knobs and typos under the prefix are named back.
+        assert_eq!(
+            unknown_env_knob(["SPIFFI_THREADS", "SPIFFI_RETIRED_KNOB"]),
+            Some("SPIFFI_RETIRED_KNOB")
+        );
+        assert_eq!(unknown_env_knob(["SPIFFI_SNAPHOT"]), Some("SPIFFI_SNAPHOT"));
+        assert_eq!(unknown_env_knob(["SPIFFI_threads"]), Some("SPIFFI_threads"));
     }
 
     #[test]

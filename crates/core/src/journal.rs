@@ -18,38 +18,28 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use crate::process::WorkerFault;
-
-/// A phase of the snapshot/worker pipeline whose wall-clock cost the
-/// journal accounts separately. In-process searches only ever record
-/// `Capture` and `Simulate`; the other phases exist on the process
-/// backend (ship over the wire, import and fork inside the worker).
+/// A phase of the probe pipeline whose wall-clock cost the journal
+/// accounts separately.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PhaseKind {
-    /// Simulating a base prefix and capturing its snapshot (dispatcher).
+    /// Simulating a base prefix and capturing its warm snapshot.
     Capture,
-    /// Writing serialized snapshot frames to worker stdins (dispatcher).
-    Ship,
-    /// Importing a shipped snapshot body into a live system (worker).
-    Import,
-    /// Forking an imported or captured base out to a probe population.
+    /// Forking a captured base out to a probe population.
     Fork,
-    /// Running the simulation proper (either side).
+    /// Running the simulation proper.
     Simulate,
 }
 
 /// Number of [`PhaseKind`] variants (the phase-accumulator array size).
-pub const PHASE_COUNT: usize = 5;
+pub const PHASE_COUNT: usize = 3;
 
 impl PhaseKind {
     /// Stable index into phase accumulator arrays.
     pub fn index(self) -> usize {
         match self {
             PhaseKind::Capture => 0,
-            PhaseKind::Ship => 1,
-            PhaseKind::Import => 2,
-            PhaseKind::Fork => 3,
-            PhaseKind::Simulate => 4,
+            PhaseKind::Fork => 1,
+            PhaseKind::Simulate => 2,
         }
     }
 
@@ -57,21 +47,14 @@ impl PhaseKind {
     pub fn name(self) -> &'static str {
         match self {
             PhaseKind::Capture => "capture",
-            PhaseKind::Ship => "ship",
-            PhaseKind::Import => "import",
             PhaseKind::Fork => "fork",
             PhaseKind::Simulate => "simulate",
         }
     }
 
     /// All phases in index order.
-    pub const ALL: [PhaseKind; PHASE_COUNT] = [
-        PhaseKind::Capture,
-        PhaseKind::Ship,
-        PhaseKind::Import,
-        PhaseKind::Fork,
-        PhaseKind::Simulate,
-    ];
+    pub const ALL: [PhaseKind; PHASE_COUNT] =
+        [PhaseKind::Capture, PhaseKind::Fork, PhaseKind::Simulate];
 }
 
 /// One probe-replication resolution during a capacity search.
@@ -88,9 +71,6 @@ pub struct ProbeRun {
     /// glitch or the window end). False for runs truncated by the cancel
     /// or abort protocol, whose events are pure speculation waste.
     pub clean: bool,
-    /// Simulated by a `spiffi-worker` child process rather than in this
-    /// process (its `wall_nanos` was measured inside the worker).
-    pub worker: bool,
     /// Simulation events the resolution accounted for.
     pub events: u64,
     /// Wall-clock time spent resolving, in nanoseconds.
@@ -105,21 +85,12 @@ pub struct RunJournal {
     probes: Mutex<Vec<ProbeRun>>,
     searches: AtomicU64,
     speculative_events: AtomicU64,
-    worker_retries: AtomicU64,
-    worker_respawns: AtomicU64,
-    quarantined_jobs: AtomicU64,
     snapshot_captures: AtomicU64,
     snapshot_hits: AtomicU64,
     forked_terminals: AtomicU64,
     snapshot_saved_events: AtomicU64,
-    snapshot_bytes_shipped: AtomicU64,
-    worker_forks: AtomicU64,
     phase_wall_nanos: [AtomicU64; PHASE_COUNT],
-    telemetry_frames: AtomicU64,
-    telemetry_samples: AtomicU64,
-    telemetry_dropped: AtomicU64,
     faults_injected: AtomicU64,
-    worker_faults: Mutex<Vec<WorkerFault>>,
 }
 
 impl RunJournal {
@@ -141,16 +112,6 @@ impl RunJournal {
             .fetch_add(speculative_events, Ordering::Relaxed);
     }
 
-    /// Record the fault-handling work of one process-backed search: jobs
-    /// retried after a worker fault, workers respawned, and jobs
-    /// quarantined as poisoned (resolved by the in-process fallback).
-    pub fn record_worker_activity(&self, retries: u64, respawns: u64, quarantined: u64) {
-        self.worker_retries.fetch_add(retries, Ordering::Relaxed);
-        self.worker_respawns.fetch_add(respawns, Ordering::Relaxed);
-        self.quarantined_jobs
-            .fetch_add(quarantined, Ordering::Relaxed);
-    }
-
     /// Record one warm-snapshot consultation: whether the base prefix was
     /// already captured (`hit`), how many marginal terminals the fork
     /// added, and how many base-prefix events the fork skipped re-running
@@ -167,34 +128,9 @@ impl RunJournal {
             .fetch_add(forked_terminals as u64, Ordering::Relaxed);
     }
 
-    /// Record the snapshot-shipping work of one process-backed search:
-    /// bytes of serialized snapshot frames written to worker stdins
-    /// (re-ships to respawned workers included) and jobs the workers
-    /// resolved by forking a shipped snapshot rather than rebuilding the
-    /// base prefix.
-    pub fn record_snapshot_shipping(&self, bytes_shipped: u64, worker_forks: u64) {
-        self.snapshot_bytes_shipped
-            .fetch_add(bytes_shipped, Ordering::Relaxed);
-        self.worker_forks.fetch_add(worker_forks, Ordering::Relaxed);
-    }
-
     /// Add `nanos` of wall-clock time to `phase`'s accumulator.
     pub fn record_phase(&self, phase: PhaseKind, nanos: u64) {
         self.phase_wall_nanos[phase.index()].fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    /// Record the telemetry traffic of one process-backed search: frames
-    /// decoded, probe samples those frames carried, and frames dropped
-    /// (digest/parse failure or no matching active job).
-    pub fn record_telemetry(&self, frames: u64, samples: u64, dropped: u64) {
-        self.telemetry_frames.fetch_add(frames, Ordering::Relaxed);
-        self.telemetry_samples.fetch_add(samples, Ordering::Relaxed);
-        self.telemetry_dropped.fetch_add(dropped, Ordering::Relaxed);
-    }
-
-    /// Record one worker fault, stderr tail included.
-    pub fn record_worker_fault(&self, fault: WorkerFault) {
-        self.worker_faults.lock().unwrap().push(fault);
     }
 
     /// Record scenario fault actions a run executed (disk deaths, degrade
@@ -213,23 +149,14 @@ impl RunJournal {
             probes,
             searches: self.searches.load(Ordering::Relaxed),
             speculative_events: self.speculative_events.load(Ordering::Relaxed),
-            worker_retries: self.worker_retries.load(Ordering::Relaxed),
-            worker_respawns: self.worker_respawns.load(Ordering::Relaxed),
-            quarantined_jobs: self.quarantined_jobs.load(Ordering::Relaxed),
             snapshot_captures: self.snapshot_captures.load(Ordering::Relaxed),
             snapshot_hits: self.snapshot_hits.load(Ordering::Relaxed),
             forked_terminals: self.forked_terminals.load(Ordering::Relaxed),
             snapshot_saved_events: self.snapshot_saved_events.load(Ordering::Relaxed),
-            snapshot_bytes_shipped: self.snapshot_bytes_shipped.load(Ordering::Relaxed),
-            worker_forks: self.worker_forks.load(Ordering::Relaxed),
             phase_wall_nanos: std::array::from_fn(|i| {
                 self.phase_wall_nanos[i].load(Ordering::Relaxed)
             }),
-            telemetry_frames: self.telemetry_frames.load(Ordering::Relaxed),
-            telemetry_samples: self.telemetry_samples.load(Ordering::Relaxed),
-            telemetry_dropped: self.telemetry_dropped.load(Ordering::Relaxed),
             faults_injected: self.faults_injected.load(Ordering::Relaxed),
-            worker_faults: self.worker_faults.lock().unwrap().clone(),
         }
     }
 }
@@ -244,14 +171,6 @@ pub struct JournalSnapshot {
     /// Speculative events across all searches (see
     /// [`CapacityResult::speculative_events`](crate::CapacityResult)).
     pub speculative_events: u64,
-    /// Jobs re-dispatched after a worker crash, timeout, or protocol
-    /// fault (process backend only; zero for in-process searches).
-    pub worker_retries: u64,
-    /// Worker processes respawned after a fault.
-    pub worker_respawns: u64,
-    /// Jobs quarantined as poisoned after exhausting their attempts and
-    /// resolved by the dispatcher's in-process fallback.
-    pub quarantined_jobs: u64,
     /// Warm base snapshots captured (base prefix simulated and kept).
     pub snapshot_captures: u64,
     /// Probe systems served by forking an already-captured snapshot.
@@ -261,26 +180,11 @@ pub struct JournalSnapshot {
     pub forked_terminals: u64,
     /// Base-prefix events that snapshot hits did not have to re-simulate.
     pub snapshot_saved_events: u64,
-    /// Bytes of serialized snapshot frames shipped to worker stdins,
-    /// including re-ships to respawned workers (process backend only).
-    pub snapshot_bytes_shipped: u64,
-    /// Worker jobs resolved by forking a shipped snapshot instead of
-    /// rebuilding the base prefix from scratch.
-    pub worker_forks: u64,
     /// Wall-clock nanoseconds per pipeline phase, indexed by
     /// [`PhaseKind::index`].
     pub phase_wall_nanos: [u64; PHASE_COUNT],
-    /// Telemetry frames decoded from worker stdout.
-    pub telemetry_frames: u64,
-    /// Probe samples carried by those frames.
-    pub telemetry_samples: u64,
-    /// Telemetry frames dropped (digest/parse failure or no matching
-    /// active job). Dropping is telemetry's only failure mode.
-    pub telemetry_dropped: u64,
     /// Scenario fault actions executed across recorded runs.
     pub faults_injected: u64,
-    /// Worker faults with their stderr tails, in fault order.
-    pub worker_faults: Vec<WorkerFault>,
 }
 
 impl JournalSnapshot {
@@ -299,15 +203,8 @@ impl JournalSnapshot {
         self.probes.iter().map(|p| p.wall_nanos).sum()
     }
 
-    /// Probe resolutions simulated by worker processes.
-    pub fn worker_runs(&self) -> u64 {
-        self.probes.iter().filter(|p| p.worker).count() as u64
-    }
-
-    /// Serialize as a JSON object (hand-rolled; fault reasons and stderr
-    /// tails — the only strings — go through the shared
-    /// [`spiffi_trace::json`] escaper, so a worker's panic message can
-    /// never break the framing).
+    /// Serialize as a JSON object (hand-rolled: every value is a number or
+    /// a boolean, so no escaping is needed).
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -315,32 +212,18 @@ impl JournalSnapshot {
             out,
             "{{\n  \"searches\": {},\n  \"speculative_events\": {},\n  \
              \"probe_runs\": {},\n  \"cache_hits\": {},\n  \"simulated\": {},\n  \
-             \"worker_runs\": {},\n  \"worker_retries\": {},\n  \
-             \"worker_respawns\": {},\n  \"quarantined_jobs\": {},\n  \
              \"snapshot_captures\": {},\n  \"snapshot_hits\": {},\n  \
              \"forked_terminals\": {},\n  \"snapshot_saved_events\": {},\n  \
-             \"snapshot_bytes_shipped\": {},\n  \"worker_forks\": {},\n  \
-             \"telemetry_frames\": {},\n  \"telemetry_samples\": {},\n  \
-             \"telemetry_dropped\": {},\n  \"faults_injected\": {},\n  \
-             \"phase_wall_ms\": {{",
+             \"faults_injected\": {},\n  \"phase_wall_ms\": {{",
             self.searches,
             self.speculative_events,
             self.probes.len(),
             self.cache_hits(),
             self.simulated(),
-            self.worker_runs(),
-            self.worker_retries,
-            self.worker_respawns,
-            self.quarantined_jobs,
             self.snapshot_captures,
             self.snapshot_hits,
             self.forked_terminals,
             self.snapshot_saved_events,
-            self.snapshot_bytes_shipped,
-            self.worker_forks,
-            self.telemetry_frames,
-            self.telemetry_samples,
-            self.telemetry_dropped,
             self.faults_injected,
         );
         for (i, phase) in PhaseKind::ALL.iter().enumerate() {
@@ -356,37 +239,9 @@ impl JournalSnapshot {
         }
         let _ = write!(
             out,
-            "}},\n  \"total_wall_ms\": {:.3},\n  \"worker_faults\": [",
+            "}},\n  \"total_wall_ms\": {:.3},\n  \"probes\": [",
             self.total_wall_nanos() as f64 / 1e6,
         );
-        for (i, f) in self.worker_faults.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"slot\": {}, \"terminals\": {}, \"replication\": {}, \
-                 \"attempt\": {}, \"reason\": \"{}\", \"stderr_tail\": [",
-                f.slot,
-                f.terminals,
-                f.replication,
-                f.attempt,
-                spiffi_trace::json::escaped(&f.reason),
-            );
-            for (j, line) in f.stderr_tail.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push('"');
-                spiffi_trace::json::escape_into(&mut out, line);
-                out.push('"');
-            }
-            out.push_str("]}");
-        }
-        if !self.worker_faults.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("],\n  \"probes\": [");
         for (i, p) in self.probes.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -394,12 +249,11 @@ impl JournalSnapshot {
             let _ = write!(
                 out,
                 "\n    {{\"terminals\": {}, \"replication\": {}, \"cached\": {}, \
-                 \"clean\": {}, \"worker\": {}, \"events\": {}, \"wall_ms\": {:.3}}}",
+                 \"clean\": {}, \"events\": {}, \"wall_ms\": {:.3}}}",
                 p.terminals,
                 p.replication,
                 p.cached,
                 p.clean,
-                p.worker,
                 p.events,
                 p.wall_nanos as f64 / 1e6,
             );
@@ -422,7 +276,6 @@ mod tests {
             replication,
             cached,
             clean: true,
-            worker: false,
             events: 100,
             wall_nanos: 1_500_000,
         }
@@ -456,27 +309,12 @@ mod tests {
         let j = RunJournal::new();
         j.record_probe(run(4, 0, false));
         j.record_search(7);
-        j.record_worker_activity(3, 2, 1);
         j.record_snapshot(false, 4, 0);
         j.record_snapshot(true, 8, 1_000);
-        j.record_snapshot_shipping(65_536, 5);
-        j.record_snapshot_shipping(1_024, 2);
         j.record_phase(PhaseKind::Capture, 2_000_000);
         j.record_phase(PhaseKind::Simulate, 3_000_000);
         j.record_phase(PhaseKind::Simulate, 500_000);
-        j.record_telemetry(4, 40, 1);
         j.record_faults(4);
-        j.record_worker_fault(WorkerFault {
-            slot: 0,
-            terminals: 8,
-            replication: 1,
-            attempt: 2,
-            reason: "worker exited (EOF)".to_string(),
-            stderr_tail: vec![
-                "panicked at \"bad\"\tthing".to_string(),
-                "tail 2".to_string(),
-            ],
-        });
         let text = j.snapshot().to_json();
         assert!(text.contains("\"searches\": 1"));
         assert!(text.contains("\"speculative_events\": 7"));
@@ -484,33 +322,18 @@ mod tests {
         assert!(text.contains("\"snapshot_hits\": 1"));
         assert!(text.contains("\"forked_terminals\": 12"));
         assert!(text.contains("\"snapshot_saved_events\": 1000"));
-        assert!(text.contains("\"snapshot_bytes_shipped\": 66560"));
-        assert!(text.contains("\"worker_forks\": 7"));
-        assert!(text.contains("\"worker_retries\": 3"));
-        assert!(text.contains("\"worker_respawns\": 2"));
-        assert!(text.contains("\"quarantined_jobs\": 1"));
         assert!(text.contains("\"terminals\": 4"));
         assert!(text.contains("\"wall_ms\": 1.500"));
         assert!(text.contains("\"capture\": 2.000"));
         assert!(text.contains("\"simulate\": 3.500"));
-        assert!(text.contains("\"ship\": 0.000"));
-        assert!(text.contains("\"telemetry_frames\": 4"));
-        assert!(text.contains("\"telemetry_samples\": 40"));
-        assert!(text.contains("\"telemetry_dropped\": 1"));
+        assert!(text.contains("\"fork\": 0.000"));
         assert!(text.contains("\"faults_injected\": 4"));
-        // Fault strings travel escaped: the tab and inner quotes in the
-        // stderr tail must not break the JSON framing.
-        assert!(text.contains("\"reason\": \"worker exited (EOF)\""));
-        assert!(text.contains(r#"panicked at \"bad\"\tthing"#));
-        assert!(text.contains("\"tail 2\""));
-        assert!(!text.contains('\t'));
         for (open, close) in [('{', '}'), ('[', ']')] {
             assert_eq!(text.matches(open).count(), text.matches(close).count());
         }
         // An empty journal serializes cleanly too.
         let empty = RunJournal::new().snapshot().to_json();
         assert!(empty.contains("\"probes\": []"));
-        assert!(empty.contains("\"worker_faults\": []"));
         for (open, close) in [('{', '}'), ('[', ']')] {
             assert_eq!(empty.matches(open).count(), empty.matches(close).count());
         }

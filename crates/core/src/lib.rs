@@ -28,12 +28,11 @@ pub mod journal;
 pub mod metrics;
 pub mod node;
 pub mod piggyback;
-pub mod process;
 pub mod scenario;
 pub mod system;
 pub mod terminal;
-pub mod wire;
 
+pub use bitset::TermBitset;
 pub use cache::{LibraryCache, LibraryKey, ProbeCache, ProbeOutcome, SnapshotCache};
 pub use config::{default_prefetch_for, PauseConfig, RunTiming, SystemConfig, KB, MB};
 pub use driver::{
@@ -43,18 +42,13 @@ pub use driver::{
 };
 pub use journal::{JournalSnapshot, PhaseKind, ProbeRun, RunJournal, PHASE_COUNT};
 pub use metrics::RunReport;
-pub use process::{
-    discover_worker_bin, ProcessConfig, ProcessPool, SnapshotBlob, WorkerFault, WorkerTelemetry,
-};
-// The observability layer, re-exported so instrumented callers need only
-// depend on `spiffi-core`.
-pub use bitset::TermBitset;
 pub use piggyback::{Piggyback, StartDecision};
 pub use scenario::{BitrateMix, FaultPlan, FaultSpec, PlanError, Scenario, Thresholds, Verdict};
 pub use spiffi_simcore::KernelKind;
+// The observability layer, re-exported so instrumented callers need only
+// depend on `spiffi-core`.
 pub use spiffi_trace::{
-    mean_disk_utilization_of, ForensicsDump, GlitchForensics, NoopProbe, Probe, SampleRow, Sampler,
-    StreamSpan, TraceRecorder, WorkerStream,
+    ForensicsDump, GlitchForensics, NoopProbe, Probe, SampleRow, Sampler, TraceRecorder,
 };
 pub use system::{Event, VisualSearch, VodSystem};
 pub use terminal::{PlayState, Pump, Terminal};

@@ -140,73 +140,6 @@ impl Piggyback {
     pub fn batches_fired(&self) -> u64 {
         self.batches_fired
     }
-
-    /// Serialize the manager's state. Maps are exported in sorted key
-    /// order (the canonical form); member vectors ride verbatim because
-    /// their order is semantic — `fire` crowns `members[0]` leader. The
-    /// `leader_of` index is derivable from `groups` and rebuilt on import.
-    pub fn snap_export(&self, w: &mut spiffi_simcore::SnapWriter) {
-        let mut open: Vec<(&VideoId, &Vec<u32>)> = self.open.iter().collect();
-        open.sort_by_key(|(v, _)| v.0);
-        w.usize("yo", open.len());
-        for (video, members) in open {
-            w.u32("yv", video.0);
-            w.usize("ym", members.len());
-            for &m in members {
-                w.u32("yt", m);
-            }
-        }
-        let mut groups: Vec<(&u32, &Vec<u32>)> = self.groups.iter().collect();
-        groups.sort_by_key(|(l, _)| **l);
-        w.usize("yg", groups.len());
-        for (leader, followers) in groups {
-            w.u32("yl", *leader);
-            w.usize("yf", followers.len());
-            for &f in followers {
-                w.u32("yt", f);
-            }
-        }
-        w.u64("yb", self.batches_fired);
-        w.u64("yp", self.terminals_piggybacked);
-    }
-
-    /// Rebuild state exported by [`Piggyback::snap_export`] into this
-    /// freshly constructed manager (the delay comes from configuration,
-    /// not the snapshot).
-    pub fn snap_import(
-        &mut self,
-        r: &mut spiffi_simcore::SnapReader<'_>,
-    ) -> Result<(), spiffi_simcore::SnapError> {
-        debug_assert!(
-            self.open.is_empty() && self.groups.is_empty(),
-            "import onto a used piggyback manager"
-        );
-        let n_open = r.usize("yo")?;
-        for _ in 0..n_open {
-            let video = VideoId(r.u32("yv")?);
-            let n = r.usize("ym")?;
-            let mut members = Vec::with_capacity(n);
-            for _ in 0..n {
-                members.push(r.u32("yt")?);
-            }
-            self.open.insert(video, members);
-        }
-        let n_groups = r.usize("yg")?;
-        for _ in 0..n_groups {
-            let leader = r.u32("yl")?;
-            let n = r.usize("yf")?;
-            let mut followers = Vec::with_capacity(n);
-            for _ in 0..n {
-                let f = r.u32("yt")?;
-                self.leader_of.insert(f, leader);
-                followers.push(f);
-            }
-            self.groups.insert(leader, followers);
-        }
-        self.batches_fired = r.u64("yb")?;
-        self.terminals_piggybacked = r.u64("yp")?;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -322,8 +255,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trips_mid_batch() {
-        use spiffi_simcore::{SnapReader, SnapWriter};
+    fn clone_mid_batch_keeps_groups_and_batches() {
         let mut pb = Piggyback::new(SimDuration::from_secs(300));
         // One fired group (1 ← 2,3), one open batch on another title.
         pb.request_start(1, VideoId(0), t(0.0));
@@ -333,18 +265,7 @@ mod tests {
         pb.request_start(7, VideoId(4), t(5.0));
         pb.request_start(5, VideoId(4), t(6.0));
 
-        let mut w = SnapWriter::new();
-        pb.snap_export(&mut w);
-        let bytes = w.finish();
-
-        let mut back = Piggyback::new(SimDuration::from_secs(300));
-        let mut r = SnapReader::new(&bytes);
-        back.snap_import(&mut r).unwrap();
-        r.finish().unwrap();
-
-        let mut w2 = SnapWriter::new();
-        back.snap_export(&mut w2);
-        assert_eq!(bytes, w2.finish(), "re-export not byte-identical");
+        let mut back = pb.clone();
         assert!(back.is_follower(2) && back.is_follower(3));
         assert!(!back.is_follower(1) && !back.is_follower(7));
         assert_eq!(back.terminals_piggybacked(), 2);

@@ -1,5 +1,5 @@
-//! Deterministic fault-injection scenario engine: parsed fault plans,
-//! their acceptance thresholds, and the compact wire form.
+//! Deterministic fault-injection scenario engine: parsed fault plans and
+//! their acceptance thresholds.
 //!
 //! A *scenario* is a small set of perturbations scheduled at exact
 //! simulation times — a disk dies, a disk serves reads at 2× latency for
@@ -7,12 +7,11 @@
 //! 4 Mbit/s titles with 15 Mbit/s ones. Scenarios ride inside
 //! [`SystemConfig`](crate::SystemConfig) and fire as ordinary calendar
 //! events inside the system, so a faulted run is exactly as deterministic
-//! as a clean one: byte-identical reports at any `SPIFFI_THREADS` /
-//! `SPIFFI_WORKERS` setting.
+//! as a clean one: byte-identical reports at any `SPIFFI_THREADS`
+//! setting.
 //!
 //! A [`FaultPlan`] is a scenario plus per-scenario acceptance thresholds,
-//! parsed from a line-oriented `key=value` file (same token style as the
-//! snapshot grammar). `trace_run --scenario <file>` evaluates the
+//! parsed from a line-oriented `key=value` file. `trace_run --scenario <file>` evaluates the
 //! thresholds and writes a machine-readable verdict for CI.
 //!
 //! # Plan grammar
@@ -216,7 +215,7 @@ pub enum PlanError {
     },
     /// A value failed to parse or was out of range for its key.
     BadValue {
-        /// 1-based line number (0 for the wire form).
+        /// 1-based line number.
         line: usize,
         /// The key whose value was bad.
         key: &'static str,
@@ -566,97 +565,6 @@ impl Scenario {
         }
         Ok(())
     }
-
-    /// Compact single-token wire form for the job protocol's optional
-    /// `scn=` field: `;`-separated subtokens, `,`-separated values, no
-    /// whitespace or `=`. Times are nanoseconds.
-    pub fn encode_wire(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for fault in &self.faults {
-            if !out.is_empty() {
-                out.push(';');
-            }
-            match *fault {
-                FaultSpec::DiskDeath { node, disk, at } => {
-                    let _ = write!(out, "k,{node},{disk},{}", at.0);
-                }
-                FaultSpec::DiskDegrade {
-                    node,
-                    disk,
-                    at,
-                    dur,
-                    factor_pct,
-                } => {
-                    let _ = write!(out, "g,{node},{disk},{},{},{factor_pct}", at.0, dur.0);
-                }
-                FaultSpec::AbandonBurst { at, every } => {
-                    let _ = write!(out, "a,{},{every}", at.0);
-                }
-            }
-        }
-        if let Some(mix) = self.mix {
-            if !out.is_empty() {
-                out.push(';');
-            }
-            let _ = write!(out, "m,{},{}", mix.every, mix.bit_rate_bps);
-        }
-        out
-    }
-
-    /// Decode the wire form produced by [`Scenario::encode_wire`].
-    pub fn decode_wire(s: &str) -> Result<Scenario, PlanError> {
-        let bad = |value: &str| PlanError::BadValue {
-            line: 0,
-            key: "scn",
-            value: value.to_string(),
-        };
-        let mut scenario = Scenario::default();
-        if s.is_empty() {
-            return Ok(scenario);
-        }
-        for sub in s.split(';') {
-            let fields: Vec<&str> = sub.split(',').collect();
-            let num = |i: usize| -> Result<u64, PlanError> {
-                fields
-                    .get(i)
-                    .and_then(|v| v.parse::<u64>().ok())
-                    .ok_or_else(|| bad(sub))
-            };
-            let num32 = |i: usize| -> Result<u32, PlanError> {
-                fields
-                    .get(i)
-                    .and_then(|v| v.parse::<u32>().ok())
-                    .ok_or_else(|| bad(sub))
-            };
-            match fields.first() {
-                Some(&"k") if fields.len() == 4 => scenario.faults.push(FaultSpec::DiskDeath {
-                    node: num32(1)?,
-                    disk: num32(2)?,
-                    at: SimDuration(num(3)?),
-                }),
-                Some(&"g") if fields.len() == 6 => scenario.faults.push(FaultSpec::DiskDegrade {
-                    node: num32(1)?,
-                    disk: num32(2)?,
-                    at: SimDuration(num(3)?),
-                    dur: SimDuration(num(4)?),
-                    factor_pct: num32(5)?,
-                }),
-                Some(&"a") if fields.len() == 3 => scenario.faults.push(FaultSpec::AbandonBurst {
-                    at: SimDuration(num(1)?),
-                    every: num32(2)?,
-                }),
-                Some(&"m") if fields.len() == 3 => {
-                    scenario.mix = Some(BitrateMix {
-                        every: num32(1)?,
-                        bit_rate_bps: num(2)?,
-                    });
-                }
-                _ => return Err(bad(sub)),
-            }
-        }
-        Ok(scenario)
-    }
 }
 
 #[cfg(test)]
@@ -817,18 +725,6 @@ expect min_capacity=24
                 key: "max_stall_ms",
             })
         );
-    }
-
-    #[test]
-    fn wire_form_round_trips() {
-        let plan = FaultPlan::parse(FULL).expect("parse");
-        let wire = plan.scenario.encode_wire();
-        assert!(!wire.contains(' ') && !wire.contains('='), "{wire}");
-        assert_eq!(Scenario::decode_wire(&wire), Ok(plan.scenario));
-        assert_eq!(Scenario::decode_wire(""), Ok(Scenario::default()));
-        assert!(Scenario::decode_wire("k,0,1").is_err());
-        assert!(Scenario::decode_wire("z,1,2,3").is_err());
-        assert!(Scenario::decode_wire("k,0,x,5").is_err());
     }
 
     #[test]

@@ -21,17 +21,15 @@
 //! queue subject to the configured strategy (standard / real-time /
 //! delayed).
 
-use spiffi_bufferpool::{BufferPool, FrameId, LookupResult, PoolStats};
-use spiffi_cpu::Cpu;
-use spiffi_disk::Disk;
+use spiffi_bufferpool::{LookupResult, PoolStats};
 use spiffi_layout::{BlockAddr, Layout, Placement};
 use spiffi_mpeg::{Library, TitleSelector, VideoId};
-use spiffi_net::{NetParams, Network};
-use spiffi_prefetch::{IssueDecision, PrefetchQueue, PrefetchRequest, PrefetchStats};
+use spiffi_net::Network;
+use spiffi_prefetch::{IssueDecision, PrefetchRequest, PrefetchStats};
 use spiffi_sched::{DiskRequest, RequestId, StreamId};
 use spiffi_simcore::dist::{uniform_time, Exponential};
 use spiffi_simcore::stats::Histogram;
-use spiffi_simcore::{Calendar, FastHashMap, SimRng, SimTime, SnapError, SnapReader, SnapWriter};
+use spiffi_simcore::{Calendar, SimRng, SimTime};
 use spiffi_trace::{
     CpuJobKind, DiskIoDone, DiskIoStart, FaultEvent, NetMsgKind, NetSend, NoopProbe, PoolEvent,
     Probe, TerminalEvent,
@@ -39,7 +37,7 @@ use spiffi_trace::{
 
 use crate::config::{RunTiming, SystemConfig};
 use crate::metrics::RunReport;
-use crate::node::{decode_waiter, waiter_token, CpuJob, DiskUnit, IoCtx, Node, PendingRead};
+use crate::node::{decode_waiter, waiter_token, CpuJob, IoCtx, Node, PendingRead};
 use crate::piggyback::{Piggyback, StartDecision};
 use crate::terminal::Terminal;
 
@@ -66,8 +64,8 @@ struct SearchState {
 
 /// One entry of the fault-scenario action table. The table is a pure
 /// function of `cfg.scenario` — a degrade window expands to a set/restore
-/// pair — so it is rebuilt from the config on snapshot import and never
-/// serialized; pending [`Event::FaultFire`] events index into it.
+/// pair — so forks share it by value; pending [`Event::FaultFire`] events
+/// index into it.
 #[derive(Clone, Copy, Debug)]
 enum FaultAction {
     /// Permanently fail a disk and re-dispatch its queue to a sibling.
@@ -236,7 +234,7 @@ pub enum Event {
     },
     /// Execute action `idx` of the fault-scenario action table (built
     /// deterministically from `cfg.scenario`, so the index alone
-    /// identifies the perturbation across snapshot round-trips).
+    /// identifies the perturbation in a forked system too).
     FaultFire(u32),
 }
 
@@ -322,272 +320,6 @@ fn cpu_job_kind(job: &CpuJob) -> CpuJobKind {
     }
 }
 
-// ----- snapshot token codecs ---------------------------------------------
-//
-// Variant tags follow declaration order; adding a variant appends a tag.
-// Every codec is positional under the snap grammar: the reader checks each
-// key, so a tag/payload mismatch surfaces as a typed `SnapError` rather
-// than silent misinterpretation.
-
-/// Serialize one calendar [`Event`]: a variant tag (`ek`) followed by the
-/// variant's fields.
-fn snap_event(w: &mut SnapWriter, ev: &Event) {
-    match *ev {
-        Event::StartTerminal(t) => {
-            w.u8("ek", 0);
-            w.u32("ev", t);
-        }
-        Event::Wake { term, gen } => {
-            w.u8("ek", 1);
-            w.u32("ev", term);
-            w.u64("ew", gen);
-        }
-        Event::RequestArrive {
-            term,
-            epoch,
-            block,
-            deadline,
-        } => {
-            w.u8("ek", 2);
-            w.u32("ev", term);
-            w.u16("ee", epoch);
-            w.u32("eb", block.video.0);
-            w.u32("ex", block.index);
-            w.time("ed", deadline);
-        }
-        Event::ReplyArrive { term, epoch, block } => {
-            w.u8("ek", 3);
-            w.u32("ev", term);
-            w.u16("ee", epoch);
-            w.u32("eb", block.video.0);
-            w.u32("ex", block.index);
-        }
-        Event::CpuDone { node } => {
-            w.u8("ek", 4);
-            w.u32("ev", node);
-        }
-        Event::DiskDone { node, disk } => {
-            w.u8("ek", 5);
-            w.u32("ev", node);
-            w.u32("ey", disk);
-        }
-        Event::PrefetchRelease { node, disk, gen } => {
-            w.u8("ek", 6);
-            w.u32("ev", node);
-            w.u32("ey", disk);
-            w.u64("ew", gen);
-        }
-        Event::PiggybackFire { video } => {
-            w.u8("ek", 7);
-            w.u32("eb", video.0);
-        }
-        Event::BeginMeasure => w.u8("ek", 8),
-        Event::UserSeek { term, frame } => {
-            w.u8("ek", 9);
-            w.u32("ev", term);
-            w.u64("ew", frame);
-        }
-        Event::SearchStep { term, session } => {
-            w.u8("ek", 10);
-            w.u32("ev", term);
-            w.u64("ew", session);
-        }
-        Event::SmoothSearchBegin {
-            term,
-            forward,
-            end_at,
-        } => {
-            w.u8("ek", 11);
-            w.u32("ev", term);
-            w.bool("ef", forward);
-            w.time("ed", end_at);
-        }
-        Event::SmoothSearchEnd { term } => {
-            w.u8("ek", 12);
-            w.u32("ev", term);
-        }
-        Event::FaultFire(idx) => {
-            w.u8("ek", 13);
-            w.u32("ev", idx);
-        }
-    }
-}
-
-/// Decode one [`Event`] written by [`snap_event`].
-fn read_event(r: &mut SnapReader<'_>) -> Result<Event, SnapError> {
-    Ok(match r.u8("ek")? {
-        0 => Event::StartTerminal(r.u32("ev")?),
-        1 => Event::Wake {
-            term: r.u32("ev")?,
-            gen: r.u64("ew")?,
-        },
-        2 => Event::RequestArrive {
-            term: r.u32("ev")?,
-            epoch: r.u16("ee")?,
-            block: BlockAddr {
-                video: VideoId(r.u32("eb")?),
-                index: r.u32("ex")?,
-            },
-            deadline: r.time("ed")?,
-        },
-        3 => Event::ReplyArrive {
-            term: r.u32("ev")?,
-            epoch: r.u16("ee")?,
-            block: BlockAddr {
-                video: VideoId(r.u32("eb")?),
-                index: r.u32("ex")?,
-            },
-        },
-        4 => Event::CpuDone { node: r.u32("ev")? },
-        5 => Event::DiskDone {
-            node: r.u32("ev")?,
-            disk: r.u32("ey")?,
-        },
-        6 => Event::PrefetchRelease {
-            node: r.u32("ev")?,
-            disk: r.u32("ey")?,
-            gen: r.u64("ew")?,
-        },
-        7 => Event::PiggybackFire {
-            video: VideoId(r.u32("eb")?),
-        },
-        8 => Event::BeginMeasure,
-        9 => Event::UserSeek {
-            term: r.u32("ev")?,
-            frame: r.u64("ew")?,
-        },
-        10 => Event::SearchStep {
-            term: r.u32("ev")?,
-            session: r.u64("ew")?,
-        },
-        11 => Event::SmoothSearchBegin {
-            term: r.u32("ev")?,
-            forward: r.bool("ef")?,
-            end_at: r.time("ed")?,
-        },
-        12 => Event::SmoothSearchEnd { term: r.u32("ev")? },
-        13 => Event::FaultFire(r.u32("ev")?),
-        tag => {
-            return Err(SnapError::BadValue {
-                key: "ek",
-                value: tag.to_string(),
-            })
-        }
-    })
-}
-
-/// Serialize one queued [`CpuJob`]: a variant tag (`jk`) plus fields. The
-/// scheduler entry inside `StartIo` is spelled out field-by-field — its
-/// queue-resident twins are serialized by the scheduler itself, and both
-/// encodings must stay in sync with [`DiskRequest`].
-fn snap_cpu_job(w: &mut SnapWriter, job: &CpuJob) {
-    match *job {
-        CpuJob::RecvRequest {
-            term,
-            epoch,
-            block,
-            deadline,
-        } => {
-            w.u8("jk", 0);
-            w.u32("jt", term);
-            w.u16("je", epoch);
-            w.u32("jb", block.video.0);
-            w.u32("jx", block.index);
-            w.time("jd", deadline);
-        }
-        CpuJob::StartIo { disk, req } => {
-            w.u8("jk", 1);
-            w.u32("jy", disk);
-            w.u64("ji", req.id.0);
-            w.u32("jc", req.cylinder);
-            match req.deadline {
-                Some(d) => {
-                    w.bool("jl", true);
-                    w.time("jm", d);
-                }
-                None => w.bool("jl", false),
-            }
-            match req.stream {
-                Some(s) => {
-                    w.bool("js", true);
-                    w.u32("jn", s.0);
-                }
-                None => w.bool("js", false),
-            }
-            w.bool("jp", req.is_prefetch);
-        }
-        CpuJob::SendReply {
-            term,
-            epoch,
-            block,
-            len,
-        } => {
-            w.u8("jk", 2);
-            w.u32("jt", term);
-            w.u16("je", epoch);
-            w.u32("jb", block.video.0);
-            w.u32("jx", block.index);
-            w.u64("jz", len);
-        }
-    }
-}
-
-/// Decode one [`CpuJob`] written by [`snap_cpu_job`].
-fn read_cpu_job(r: &mut SnapReader<'_>) -> Result<CpuJob, SnapError> {
-    Ok(match r.u8("jk")? {
-        0 => CpuJob::RecvRequest {
-            term: r.u32("jt")?,
-            epoch: r.u16("je")?,
-            block: BlockAddr {
-                video: VideoId(r.u32("jb")?),
-                index: r.u32("jx")?,
-            },
-            deadline: r.time("jd")?,
-        },
-        1 => {
-            let disk = r.u32("jy")?;
-            let id = RequestId(r.u64("ji")?);
-            let cylinder = r.u32("jc")?;
-            let deadline = if r.bool("jl")? {
-                Some(r.time("jm")?)
-            } else {
-                None
-            };
-            let stream = if r.bool("js")? {
-                Some(StreamId(r.u32("jn")?))
-            } else {
-                None
-            };
-            let is_prefetch = r.bool("jp")?;
-            CpuJob::StartIo {
-                disk,
-                req: DiskRequest {
-                    id,
-                    cylinder,
-                    deadline,
-                    stream,
-                    is_prefetch,
-                },
-            }
-        }
-        2 => CpuJob::SendReply {
-            term: r.u32("jt")?,
-            epoch: r.u16("je")?,
-            block: BlockAddr {
-                video: VideoId(r.u32("jb")?),
-                index: r.u32("jx")?,
-            },
-            len: r.u64("jz")?,
-        },
-        tag => {
-            return Err(SnapError::BadValue {
-                key: "jk",
-                value: tag.to_string(),
-            })
-        }
-    })
-}
-
 /// The assembled system. Build with [`VodSystem::new`], run to completion
 /// with [`VodSystem::run`].
 ///
@@ -638,11 +370,10 @@ pub struct VodSystem<P: Probe = NoopProbe> {
     io_latency: Histogram,
     /// Demand I/Os completing after their deadline.
     deadline_misses: u64,
-    /// Fault-scenario action table (see [`FaultAction`]); config-derived,
-    /// rebuilt on snapshot import rather than serialized.
+    /// Fault-scenario action table (see [`FaultAction`]); config-derived.
     fault_actions: Vec<FaultAction>,
-    /// Fault actions executed so far (serialized — a forked system must
-    /// agree with its parent on which faults already fired).
+    /// Fault actions executed so far (a forked system must agree with its
+    /// parent on which faults already fired).
     faults_fired: u64,
     // --- recycled event-loop buffers (allocation-free steady state) ---
     /// Request buffer handed to [`Terminal::pump_reusing`] each wake.
@@ -731,408 +462,6 @@ impl VodSystem {
     ) -> Self {
         Self::build(cfg, library.into(), NoopProbe, Some(base))
     }
-
-    /// Serialize the complete mutable simulation state as snapshot tokens:
-    /// the calendar (clock, sequence counter, every pending event), the
-    /// network tracker, each node's CPU queue, buffer pool, disks (drive
-    /// state, scheduler queue, prefetch queue, RNG stream, in-flight
-    /// table), every terminal with its RNG stream, the piggyback manager,
-    /// active visual searches, and all measurement counters.
-    ///
-    /// Everything derivable from the configuration — the library, the
-    /// layout, the title selector, frame capacities — is *not* serialized;
-    /// [`VodSystem::snap_import`] rebuilds it from the same `cfg`. Floats
-    /// travel as IEEE-754 bit patterns, so an exported system re-imported
-    /// under the same configuration re-exports byte-identically and forks
-    /// ([`VodSystem::fork_to`]) bit-identically to the original.
-    pub fn snap_export(&self) -> String {
-        let mut w = SnapWriter::new();
-        w.time("cn", self.cal.now());
-        w.u64("cq", self.cal.next_seq());
-        w.u64("ct", self.cal.scheduled_total());
-        let entries = self.cal.export_entries();
-        w.usize("ce", entries.len());
-        for (t, seq, ev) in entries {
-            w.time("et", t);
-            w.u64("es", seq);
-            snap_event(&mut w, ev);
-        }
-        self.net.snap_export(&mut w);
-        w.usize("nn", self.nodes.len());
-        for node in &self.nodes {
-            node.cpu.snap_export(&mut w, snap_cpu_job);
-            node.pool.snap_export(&mut w);
-            w.usize("dn", node.disks.len());
-            for unit in &node.disks {
-                unit.disk.snap_export(&mut w);
-                unit.sched.snap_export(&mut w);
-                unit.prefetch.snap_export(&mut w);
-                let s = unit.rng.state();
-                w.u64("r0", s[0]);
-                w.u64("r1", s[1]);
-                w.u64("r2", s[2]);
-                w.u64("r3", s[3]);
-                match unit.current {
-                    Some(rid) => {
-                        w.bool("uc", true);
-                        w.u64("ur", rid.0);
-                    }
-                    None => w.bool("uc", false),
-                }
-                // The in-flight map is never iterated by the simulation, so
-                // RequestId order is the canonical export order. `by_block`
-                // is its exact inverse and is rebuilt on import.
-                let mut inflight: Vec<(&RequestId, &IoCtx)> = unit.inflight.iter().collect();
-                inflight.sort_unstable_by_key(|(rid, _)| rid.0);
-                w.usize("un", inflight.len());
-                for (rid, ctx) in inflight {
-                    w.u64("ui", rid.0);
-                    w.u32("ub", ctx.block.video.0);
-                    w.u32("ux", ctx.block.index);
-                    w.u32("uf", ctx.frame.0);
-                    w.bool("up", ctx.is_prefetch);
-                    w.time("ua", ctx.issued_at);
-                    match ctx.deadline {
-                        Some(d) => {
-                            w.bool("ud", true);
-                            w.time("ue", d);
-                        }
-                        None => w.bool("ud", false),
-                    }
-                }
-                w.u64("ug", unit.release_gen);
-                match unit.release_timer {
-                    Some(t) => {
-                        w.bool("ut", true);
-                        w.time("uv", t);
-                    }
-                    None => w.bool("ut", false),
-                }
-                w.bool("ul", unit.alive);
-            }
-            w.usize("wn", node.pending_reads.len());
-            for pr in &node.pending_reads {
-                w.u32("wt", pr.term);
-                w.u16("we", pr.epoch);
-                w.u32("wb", pr.block.video.0);
-                w.u32("wx", pr.block.index);
-                w.time("wd", pr.deadline);
-            }
-        }
-        w.usize("tn", self.terminals.len());
-        for (term, rng) in self.terminals.iter().zip(&self.term_rngs) {
-            term.snap_export(&mut w);
-            let s = rng.state();
-            w.u64("g0", s[0]);
-            w.u64("g1", s[1]);
-            w.u64("g2", s[2]);
-            w.u64("g3", s[3]);
-        }
-        match &self.piggyback {
-            Some(pb) => {
-                w.bool("pb", true);
-                pb.snap_export(&mut w);
-            }
-            None => w.bool("pb", false),
-        }
-        let mut searches: Vec<(&u32, &SearchState)> = self.searches.iter().collect();
-        searches.sort_unstable_by_key(|(t, _)| **t);
-        w.usize("xn", searches.len());
-        for (t, s) in searches {
-            w.u32("xt", *t);
-            w.u64("xs", s.session);
-            w.dur("xh", s.search.show);
-            w.dur("xk", s.search.skip);
-            w.bool("xf", s.search.forward);
-            w.time("xe", s.end_at);
-            w.bool("xb", s.started);
-        }
-        w.u64("xq", self.search_sessions);
-        w.bool("me", self.measuring);
-        w.u64("ri", self.next_req_id);
-        w.u64("gm", self.glitches_measured);
-        self.glitching_terminals.snap_export(&mut w);
-        w.u64("bd", self.blocks_delivered);
-        w.u64("ep", self.events_processed);
-        self.io_latency.snap_export(&mut w);
-        w.u64("dm", self.deadline_misses);
-        w.u64("ff", self.faults_fired);
-        w.finish()
-    }
-
-    /// Rebuild a system from [`VodSystem::snap_export`] tokens.
-    ///
-    /// `cfg` and `library` must be the exact configuration and library the
-    /// exporting system ran under (the wire layer enforces this with a
-    /// config fingerprint); `cfg.n_terminals` is the snapshot's terminal
-    /// count, which [`VodSystem::fork_to`] then extends per probe. Shape
-    /// mismatches between tokens and configuration surface as typed
-    /// [`SnapError`]s, never panics.
-    ///
-    /// # Panics
-    /// If the configuration fails [`SystemConfig::validate`] — the same
-    /// contract as every other constructor.
-    pub fn snap_import(
-        cfg: SystemConfig,
-        library: impl Into<std::sync::Arc<Library>>,
-        body: &str,
-    ) -> Result<Self, SnapError> {
-        let library = library.into();
-        if let Err(e) = cfg.validate() {
-            panic!("invalid configuration: {e}");
-        }
-        // Derived state mirrors `build` exactly: same layout, same disk
-        // capacity, same map pre-sizing, so the imported system is
-        // structurally indistinguishable from the exporter.
-        let layout = match cfg.placement {
-            Placement::Striped => Layout::striped(cfg.topology, cfg.stripe_bytes, &library),
-            Placement::NonStriped => {
-                let mut rng = SimRng::stream(cfg.seed, 0x1a70);
-                Layout::non_striped(cfg.topology, cfg.stripe_bytes, &library, &mut rng)
-            }
-            Placement::StripeGroup { width } => {
-                Layout::stripe_group(cfg.topology, cfg.stripe_bytes, &library, width)
-            }
-        };
-        let disk_params = cfg.disk.with_capacity_for(layout.max_disk_used_bytes());
-        let inflight_hint = (4 * cfg.n_terminals as usize)
-            .div_ceil(cfg.topology.total_disks().max(1) as usize)
-            .clamp(16, 4096);
-        let selector = TitleSelector::new(cfg.access, cfg.n_videos);
-        let pump_cap = (cfg.terminal_memory_bytes / cfg.stripe_bytes.max(1) + 1) as usize;
-
-        let mut r = SnapReader::new(body);
-        let now = r.time("cn")?;
-        let next_seq = r.u64("cq")?;
-        let scheduled_total = r.u64("ct")?;
-        let ce = r.usize("ce")?;
-        let mut entries = Vec::with_capacity(ce);
-        for _ in 0..ce {
-            let t = r.time("et")?;
-            let seq = r.u64("es")?;
-            entries.push((t, seq, read_event(&mut r)?));
-        }
-        let cal =
-            Calendar::from_entries(kernel_from_env(), now, next_seq, scheduled_total, entries);
-        // `build` wires the default network parameters (see its `net`
-        // field); the import must match to stay byte-identical.
-        let net = Network::snap_import(NetParams::default(), &mut r)?;
-        let nn = r.usize("nn")?;
-        if nn != cfg.topology.nodes as usize {
-            return Err(SnapError::BadValue {
-                key: "nn",
-                value: nn.to_string(),
-            });
-        }
-        let mut nodes = Vec::with_capacity(nn);
-        for _ in 0..nn {
-            let cpu = Cpu::snap_import(cfg.cpu, &mut r, read_cpu_job)?;
-            let pool = BufferPool::snap_import(cfg.frames_per_node(), cfg.policy, &mut r)?;
-            let dn = r.usize("dn")?;
-            if dn != cfg.topology.disks_per_node as usize {
-                return Err(SnapError::BadValue {
-                    key: "dn",
-                    value: dn.to_string(),
-                });
-            }
-            let mut disks = Vec::with_capacity(dn);
-            for _ in 0..dn {
-                let disk = Disk::snap_import(disk_params, &mut r)?;
-                let mut sched = cfg.scheduler.build();
-                sched.snap_import(&mut r)?;
-                let prefetch = PrefetchQueue::snap_import(cfg.prefetch, &mut r)?;
-                let rng =
-                    SimRng::from_state([r.u64("r0")?, r.u64("r1")?, r.u64("r2")?, r.u64("r3")?]);
-                let current = if r.bool("uc")? {
-                    Some(RequestId(r.u64("ur")?))
-                } else {
-                    None
-                };
-                let un = r.usize("un")?;
-                let mut inflight: FastHashMap<RequestId, IoCtx> =
-                    FastHashMap::with_capacity_and_hasher(
-                        inflight_hint.max(un),
-                        Default::default(),
-                    );
-                let mut by_block: FastHashMap<BlockAddr, RequestId> =
-                    FastHashMap::with_capacity_and_hasher(
-                        inflight_hint.max(un),
-                        Default::default(),
-                    );
-                for _ in 0..un {
-                    let rid = RequestId(r.u64("ui")?);
-                    let block = BlockAddr {
-                        video: VideoId(r.u32("ub")?),
-                        index: r.u32("ux")?,
-                    };
-                    let ctx = IoCtx {
-                        block,
-                        frame: FrameId(r.u32("uf")?),
-                        is_prefetch: r.bool("up")?,
-                        issued_at: r.time("ua")?,
-                        deadline: if r.bool("ud")? {
-                            Some(r.time("ue")?)
-                        } else {
-                            None
-                        },
-                    };
-                    if inflight.insert(rid, ctx).is_some() {
-                        return Err(SnapError::BadValue {
-                            key: "ui",
-                            value: rid.0.to_string(),
-                        });
-                    }
-                    // One demand/prefetch issue per block at a time (the
-                    // pool lookup guards double-issue), so the inverse
-                    // index is a bijection and rebuilds losslessly.
-                    by_block.insert(block, rid);
-                }
-                let release_gen = r.u64("ug")?;
-                let release_timer = if r.bool("ut")? {
-                    Some(r.time("uv")?)
-                } else {
-                    None
-                };
-                let alive = r.bool("ul")?;
-                disks.push(DiskUnit {
-                    disk,
-                    sched,
-                    prefetch,
-                    rng,
-                    current,
-                    inflight,
-                    by_block,
-                    release_gen,
-                    release_timer,
-                    alive,
-                });
-            }
-            let wn = r.usize("wn")?;
-            let mut pending_reads = std::collections::VecDeque::with_capacity(wn.max(16));
-            for _ in 0..wn {
-                pending_reads.push_back(PendingRead {
-                    term: r.u32("wt")?,
-                    epoch: r.u16("we")?,
-                    block: BlockAddr {
-                        video: VideoId(r.u32("wb")?),
-                        index: r.u32("wx")?,
-                    },
-                    deadline: r.time("wd")?,
-                });
-            }
-            nodes.push(Node {
-                cpu,
-                pool,
-                disks,
-                pending_reads,
-            });
-        }
-        let tn = r.usize("tn")?;
-        if tn != cfg.n_terminals as usize {
-            return Err(SnapError::BadValue {
-                key: "tn",
-                value: tn.to_string(),
-            });
-        }
-        let mut terminals = Vec::with_capacity(tn);
-        let mut term_rngs = Vec::with_capacity(tn);
-        for t in 0..cfg.n_terminals {
-            let mut term = Terminal::new(t, cfg.terminal_memory_bytes);
-            term.snap_import(&mut r, |id| {
-                if (id.0 as usize) < library.len() {
-                    Some(library.get(id))
-                } else {
-                    None
-                }
-            })?;
-            terminals.push(term);
-            term_rngs.push(SimRng::from_state([
-                r.u64("g0")?,
-                r.u64("g1")?,
-                r.u64("g2")?,
-                r.u64("g3")?,
-            ]));
-        }
-        let has_piggyback = r.bool("pb")?;
-        if has_piggyback != cfg.piggyback_delay.is_some() {
-            return Err(SnapError::BadValue {
-                key: "pb",
-                value: has_piggyback.to_string(),
-            });
-        }
-        let piggyback = match cfg.piggyback_delay {
-            Some(delay) => {
-                let mut pb = Piggyback::new(delay);
-                pb.snap_import(&mut r)?;
-                Some(pb)
-            }
-            None => None,
-        };
-        let xn = r.usize("xn")?;
-        let mut searches = std::collections::HashMap::with_capacity(xn);
-        for _ in 0..xn {
-            let t = r.u32("xt")?;
-            let state = SearchState {
-                session: r.u64("xs")?,
-                search: VisualSearch {
-                    show: r.dur("xh")?,
-                    skip: r.dur("xk")?,
-                    forward: r.bool("xf")?,
-                },
-                end_at: r.time("xe")?,
-                started: r.bool("xb")?,
-            };
-            if searches.insert(t, state).is_some() {
-                return Err(SnapError::BadValue {
-                    key: "xt",
-                    value: t.to_string(),
-                });
-            }
-        }
-        let search_sessions = r.u64("xq")?;
-        let measuring = r.bool("me")?;
-        let next_req_id = r.u64("ri")?;
-        let glitches_measured = r.u64("gm")?;
-        let mut glitching_terminals = crate::bitset::TermBitset::with_capacity(cfg.n_terminals);
-        glitching_terminals.snap_import(&mut r)?;
-        let blocks_delivered = r.u64("bd")?;
-        let events_processed = r.u64("ep")?;
-        let io_latency = Histogram::snap_import(&mut r)?;
-        let deadline_misses = r.u64("dm")?;
-        let faults_fired = r.u64("ff")?;
-        r.finish()?;
-        // The action table is a pure function of the configuration;
-        // pending FaultFire events re-bind to it by index.
-        let fault_actions = fault_actions_of(&cfg);
-
-        Ok(VodSystem {
-            cfg,
-            cal,
-            library,
-            layout,
-            selector,
-            net,
-            nodes,
-            terminals,
-            term_rngs,
-            piggyback,
-            searches,
-            search_sessions,
-            measuring,
-            next_req_id,
-            glitches_measured,
-            glitching_terminals,
-            blocks_delivered,
-            events_processed,
-            io_latency,
-            deadline_misses,
-            fault_actions,
-            faults_fired,
-            pump_scratch: Vec::with_capacity(pump_cap),
-            waiter_scratch: Vec::with_capacity(16),
-            probe: NoopProbe,
-        })
-    }
 }
 
 impl<P: Probe> VodSystem<P> {
@@ -1151,27 +480,11 @@ impl<P: Probe> VodSystem<P> {
         Self::build(cfg, library.into(), probe, None)
     }
 
-    /// [`VodSystem::with_library_marginal`] with an observation `probe`:
-    /// marginal-probe timing (terminals at or above `base` join in the
-    /// late window) plus telemetry callbacks. The report stays
-    /// bit-identical to the untraced marginal build's.
-    ///
-    /// # Panics
-    /// If the configuration fails [`SystemConfig::validate`].
-    pub fn with_probe_marginal(
-        cfg: SystemConfig,
-        library: impl Into<std::sync::Arc<Library>>,
-        probe: P,
-        base: u32,
-    ) -> Self {
-        Self::build(cfg, library.into(), probe, Some(base))
-    }
-
     /// Swap this system's probe for `probe`, moving every other field
     /// unchanged. Observation-only by construction: the simulation state
     /// is untouched, so the run ahead is bit-identical to running under
-    /// the old probe. This is how a worker attaches a live sampler to a
-    /// system it just imported or forked under the default [`NoopProbe`].
+    /// the old probe. This is how a caller attaches a probe to a system it
+    /// built or forked under the default [`NoopProbe`].
     pub fn attach_probe<Q: Probe>(self, probe: Q) -> VodSystem<Q> {
         VodSystem {
             cfg: self.cfg,
@@ -1283,8 +596,8 @@ impl<P: Probe> VodSystem<P> {
 
         // Fault perturbations fire as ordinary calendar events, so they
         // interleave with the workload in deterministic event order at
-        // any thread or worker count, and pending firings serialize with
-        // the rest of the calendar on snapshot.
+        // any thread count, and pending firings are carried by the
+        // calendar into every fork.
         let fault_actions = fault_actions_of(&cfg);
         for (idx, (at, _)) in fault_schedule_of(&cfg).iter().enumerate() {
             cal.schedule_at(SimTime::ZERO + *at, Event::FaultFire(idx as u32));
@@ -1392,7 +705,7 @@ impl<P: Probe> VodSystem<P> {
     }
 
     /// [`VodSystem::run_glitch_probe_abortable`], additionally returning
-    /// the probe with whatever it recorded (the worker's telemetry path).
+    /// the probe with whatever it recorded.
     /// [`Probe::run_end`] fires at the stop instant on every exit path, so
     /// a sampler's final partial interval is clipped consistently whether
     /// the run glitched, completed, or was truncated.
@@ -2792,37 +2105,40 @@ mod tests {
         assert_eq!(parse_kernel_env(Some("1")), Err("1".into()));
     }
 
-    /// The tentpole contract: serialize → deserialize → fork reproduces
-    /// `fork_to` on the in-process snapshot bit-exactly.
+    /// The fork contract with piggyback groups and an in-progress visual
+    /// search at the boundary: forking the replayed base out to 20
+    /// terminals reproduces the from-scratch marginal build bit-exactly.
     #[test]
-    fn snapshot_serialization_round_trips_and_forks_identically() {
+    fn fork_with_piggyback_and_visual_search_matches_fresh_build() {
         let mut cfg = SystemConfig::small_test();
         cfg.n_terminals = 14;
         cfg.piggyback_delay = Some(SimDuration::from_secs(2));
         let library = std::sync::Arc::new(VodSystem::generate_library(&cfg));
-        let mut sys = VodSystem::with_library_marginal(cfg.clone(), library.clone(), 14);
-        // An in-progress visual search at the boundary exercises the
-        // search-state and SearchStep-event codecs.
-        sys.schedule_visual_search(
-            SimTime::ZERO + SimDuration::from_secs(6),
-            3,
-            VisualSearch {
-                show: SimDuration::from_secs(1),
-                skip: SimDuration::from_secs(4),
-                forward: true,
-            },
-            SimDuration::from_secs(8),
-        );
+        let with_search = |mut sys: VodSystem| {
+            sys.schedule_visual_search(
+                SimTime::ZERO + SimDuration::from_secs(6),
+                3,
+                VisualSearch {
+                    show: SimDuration::from_secs(1),
+                    skip: SimDuration::from_secs(4),
+                    forward: true,
+                },
+                SimDuration::from_secs(8),
+            );
+            sys
+        };
+        let mut sys = with_search(VodSystem::with_library_marginal(
+            cfg.clone(),
+            library.clone(),
+            14,
+        ));
         sys.replay_to_snapshot();
+        let forked = sys.fork_to(20).run();
 
-        let body = sys.snap_export();
-        let back = VodSystem::snap_import(cfg, library, &body).expect("snapshot import");
-        assert_eq!(back.snap_export(), body, "re-export not byte-identical");
-
-        let r_memory = sys.fork_to(20).run();
-        let r_wire = back.fork_to(20).run();
-        assert_eq!(r_memory, r_wire, "forked runs diverged after round-trip");
-        assert!(r_memory.blocks_delivered > 0, "degenerate run");
+        cfg.n_terminals = 20;
+        let fresh = with_search(VodSystem::with_library_marginal(cfg, library, 14)).run();
+        assert_eq!(forked, fresh, "fork diverged from the from-scratch build");
+        assert!(forked.blocks_delivered > 0, "degenerate run");
     }
 
     /// Records every fault callback so tests can assert what fired when.
@@ -2917,24 +2233,24 @@ mod tests {
     }
 
     #[test]
-    fn faulted_snapshot_round_trips_and_forks_identically() {
+    fn faulted_fork_matches_fresh_build() {
         // Fault times sit past the warm-snapshot instant (warmup −
         // stagger = 10 s), so pending FaultFire events must survive the
-        // wire round-trip for the forks to agree.
-        let cfg = faulted_config();
+        // deep clone for the fork to agree with a from-scratch build.
+        let mut cfg = faulted_config();
         let library = std::sync::Arc::new(VodSystem::generate_library(&cfg));
         let mut sys = VodSystem::with_library_marginal(cfg.clone(), library.clone(), 12);
         sys.replay_to_snapshot();
         assert_eq!(sys.faults_fired(), 0, "faults fired before snapshot");
+        let forked = sys.fork_to(16).run();
 
-        let body = sys.snap_export();
-        let back = VodSystem::snap_import(cfg, library, &body).expect("snapshot import");
-        assert_eq!(back.snap_export(), body, "re-export not byte-identical");
-
-        let r_memory = sys.fork_to(12).run();
-        let r_wire = back.fork_to(12).run();
-        assert_eq!(r_memory, r_wire, "faulted forks diverged after round-trip");
-        assert!(r_memory.blocks_delivered > 0, "degenerate run");
+        cfg.n_terminals = 16;
+        let fresh = VodSystem::with_library_marginal(cfg, library, 12).run();
+        assert_eq!(
+            forked, fresh,
+            "faulted fork diverged from the from-scratch build"
+        );
+        assert!(forked.blocks_delivered > 0, "degenerate run");
     }
 
     #[test]

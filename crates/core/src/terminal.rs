@@ -27,7 +27,7 @@
 use std::collections::{BTreeSet, VecDeque};
 
 use spiffi_mpeg::{PlayCursor, Video, VideoId};
-use spiffi_simcore::{SimDuration, SimTime, SnapError, SnapReader, SnapWriter};
+use spiffi_simcore::{SimDuration, SimTime};
 
 /// Playback state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -534,151 +534,6 @@ impl Terminal {
             }
         }
     }
-
-    /// Serialize the terminal's mutable state. The id and buffer capacity
-    /// are configuration-derived and excluded; the play cursor collapses
-    /// to its frame number ([`PlayCursor::new`] rebuilds the GOP cache
-    /// deterministically from it). The out-of-order set exports in its
-    /// BTreeSet (ascending) order, which is canonical; the pause plan is
-    /// order-bearing and rides verbatim.
-    pub fn snap_export(&self, w: &mut SnapWriter) {
-        match self.state {
-            PlayState::Idle => w.u8("ts", 0),
-            PlayState::Priming => w.u8("ts", 1),
-            PlayState::Playing { origin } => {
-                w.u8("ts", 2);
-                w.time("to", origin);
-            }
-            PlayState::Paused {
-                origin,
-                paused_at,
-                resume_at,
-            } => {
-                w.u8("ts", 3);
-                w.time("to", origin);
-                w.time("tp", paused_at);
-                w.time("tr", resume_at);
-            }
-            PlayState::Finished => w.u8("ts", 4),
-        }
-        match self.video {
-            None => w.bool("tv", false),
-            Some(v) => {
-                w.bool("tv", true);
-                w.u32("ti", v.0);
-            }
-        }
-        match &self.cursor {
-            None => w.bool("tc", false),
-            Some(c) => {
-                w.bool("tc", true);
-                w.u64("th", c.frame());
-            }
-        }
-        w.u64("tb", self.base_frame);
-        w.u16("te", self.epoch);
-        w.u64("tg", self.gen);
-        w.u32("tf", self.frontier_block);
-        w.u64("tk", self.contiguous_end);
-        w.u64("tz", self.ooo_bytes);
-        w.u32("tq", self.next_request);
-        w.u64("tx", self.outstanding);
-        w.u64("tw", self.next_pause_frame);
-        w.u64("td", self.data_stop);
-        w.u64("ty", self.data_stop_end);
-        w.u64("tl", self.blocks_received);
-        w.usize("on", self.cold.ooo.len());
-        for &b in &self.cold.ooo {
-            w.u32("oi", b);
-        }
-        w.usize("pn", self.cold.pauses.len());
-        for &(frame, dur) in &self.cold.pauses {
-            w.u64("pf", frame);
-            w.dur("pd", dur);
-        }
-        w.u64("gt", self.cold.glitches_total);
-        w.u64("vc", self.cold.videos_completed);
-    }
-
-    /// Rebuild state exported by [`Terminal::snap_export`] into this
-    /// freshly constructed terminal. `resolve` maps the serialized title
-    /// id to its [`Video`] so the play cursor can be reconstructed; it is
-    /// consulted only when a cursor was serialized.
-    pub fn snap_import<'v>(
-        &mut self,
-        r: &mut SnapReader<'_>,
-        resolve: impl FnOnce(VideoId) -> Option<&'v Video>,
-    ) -> Result<(), SnapError> {
-        self.state = match r.u8("ts")? {
-            0 => PlayState::Idle,
-            1 => PlayState::Priming,
-            2 => PlayState::Playing {
-                origin: r.time("to")?,
-            },
-            3 => PlayState::Paused {
-                origin: r.time("to")?,
-                paused_at: r.time("tp")?,
-                resume_at: r.time("tr")?,
-            },
-            4 => PlayState::Finished,
-            other => {
-                return Err(SnapError::BadValue {
-                    key: "ts",
-                    value: other.to_string(),
-                })
-            }
-        };
-        self.video = if r.bool("tv")? {
-            Some(VideoId(r.u32("ti")?))
-        } else {
-            None
-        };
-        self.cursor = if r.bool("tc")? {
-            let frame = r.u64("th")?;
-            let id = self.video.ok_or(SnapError::BadValue {
-                key: "tc",
-                value: "cursor without a video".into(),
-            })?;
-            let video = resolve(id).ok_or(SnapError::BadValue {
-                key: "ti",
-                value: id.0.to_string(),
-            })?;
-            Some(PlayCursor::new(video, frame))
-        } else {
-            None
-        };
-        self.base_frame = r.u64("tb")?;
-        self.epoch = r.u16("te")?;
-        self.gen = r.u64("tg")?;
-        self.frontier_block = r.u32("tf")?;
-        self.contiguous_end = r.u64("tk")?;
-        self.ooo_bytes = r.u64("tz")?;
-        self.next_request = r.u32("tq")?;
-        self.outstanding = r.u64("tx")?;
-        self.next_pause_frame = r.u64("tw")?;
-        self.data_stop = r.u64("td")?;
-        self.data_stop_end = r.u64("ty")?;
-        self.blocks_received = r.u64("tl")?;
-        let n_ooo = r.usize("on")?;
-        for _ in 0..n_ooo {
-            let b = r.u32("oi")?;
-            if !self.cold.ooo.insert(b) {
-                return Err(SnapError::BadValue {
-                    key: "oi",
-                    value: b.to_string(),
-                });
-            }
-        }
-        let n_pauses = r.usize("pn")?;
-        for _ in 0..n_pauses {
-            let frame = r.u64("pf")?;
-            let dur = r.dur("pd")?;
-            self.cold.pauses.push_back((frame, dur));
-        }
-        self.cold.glitches_total = r.u64("gt")?;
-        self.cold.videos_completed = r.u64("vc")?;
-        Ok(())
-    }
 }
 
 /// Length of block `index` of a `total`-byte stream cut into `block_bytes`
@@ -1035,7 +890,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trips_mid_playback() {
+    fn clone_mid_playback_behaves_identically() {
         let v = video();
         // Mid-playback state with out-of-order blocks, a pending pause,
         // and a glitch already on the books.
@@ -1050,19 +905,7 @@ mod tests {
         assert!(p.started_playing);
         term.pump(&v, BB, t(1.7));
 
-        let mut w = SnapWriter::new();
-        term.snap_export(&mut w);
-        let bytes = w.finish();
-
-        let mut back = Terminal::new(3, 2 * 1024 * 1024);
-        let mut r = SnapReader::new(&bytes);
-        back.snap_import(&mut r, |id| (id == v.id()).then_some(&v))
-            .unwrap();
-        r.finish().unwrap();
-
-        let mut w2 = SnapWriter::new();
-        back.snap_export(&mut w2);
-        assert_eq!(bytes, w2.finish(), "re-export not byte-identical");
+        let mut back = term.clone();
         assert_eq!(back.state(), term.state());
         assert_eq!(back.epoch(), term.epoch());
         assert_eq!(back.gen(), term.gen());

@@ -6,17 +6,14 @@
 //! RNG streams are what make this hold: a terminal's workload draws
 //! depend only on its own index, never on how many other terminals exist.
 //!
-//! The probe-path bugfix regressions ride along: the worker job-timeout
-//! floor and the `Histogram::quantile(1.0)` contract (the auto-bracket
-//! rounding fix has dedicated unit tests next to `round_to_grid` in the
-//! driver).
+//! The probe-path bugfix regression for the `Histogram::quantile(1.0)`
+//! contract rides along (the auto-bracket rounding fix has dedicated unit
+//! tests next to `round_to_grid` in the driver).
 
 use std::sync::atomic::AtomicU32;
 use std::sync::Arc;
 
-use spiffi_core::{
-    CapacitySearch, Engine, LibraryCache, ProcessConfig, SnapshotMode, SystemConfig, VodSystem,
-};
+use spiffi_core::{CapacitySearch, Engine, LibraryCache, SnapshotMode, SystemConfig, VodSystem};
 use spiffi_simcore::SimDuration;
 
 /// The tiny single-disk configuration used throughout the core tests:
@@ -237,29 +234,6 @@ fn snapshot_modes_do_not_share_probe_cache_entries() {
     // Both modes answer the same question; on this tiny config the
     // answers agree even though the timelines differ.
     assert_eq!(off.below_bracket, cold.below_bracket);
-}
-
-/// Regression (worker timeout floor): `SPIFFI_WORKER_TIMEOUT_MS=0` (or
-/// any near-zero value) used to produce a job timeout that expired before
-/// a worker could answer its first job, killing the whole pool over and
-/// over. The setter now clamps to the documented floor.
-#[test]
-fn job_timeout_is_clamped_to_the_floor() {
-    use spiffi_core::process::MIN_JOB_TIMEOUT_MS;
-    let base = ProcessConfig::new(1, std::path::PathBuf::from("spiffi-worker"));
-    for ms in [0u64, 1, 10, MIN_JOB_TIMEOUT_MS - 1] {
-        let cfg = base.clone().with_job_timeout_ms(ms);
-        assert_eq!(
-            cfg.job_timeout,
-            std::time::Duration::from_millis(MIN_JOB_TIMEOUT_MS),
-            "{ms} ms must clamp to the floor"
-        );
-    }
-    // At or above the floor the requested value is honored.
-    for ms in [MIN_JOB_TIMEOUT_MS, 2_500, 600_000] {
-        let cfg = base.clone().with_job_timeout_ms(ms);
-        assert_eq!(cfg.job_timeout, std::time::Duration::from_millis(ms));
-    }
 }
 
 /// Regression (`Histogram::quantile(1.0)`): p100 used to report the top

@@ -18,7 +18,7 @@
 use std::collections::VecDeque;
 
 use spiffi_simcore::stats::Utilization;
-use spiffi_simcore::{SimDuration, SimTime, SnapError, SnapReader, SnapWriter};
+use spiffi_simcore::{SimDuration, SimTime};
 
 /// CPU cost parameters (defaults: Table 1).
 #[derive(Clone, Copy, Debug)]
@@ -152,57 +152,6 @@ impl<T> Cpu<T> {
     pub fn reset_window(&mut self, now: SimTime) {
         self.util.reset_window(now);
         self.completed = 0;
-    }
-
-    /// Serialize the CPU's mutable state. Payloads are opaque to this
-    /// crate, so the caller supplies their encoder; parameters are
-    /// configuration and travel with the job, not the snapshot.
-    pub fn snap_export(&self, w: &mut SnapWriter, mut enc: impl FnMut(&mut SnapWriter, &T)) {
-        w.usize("cq", self.queue.len());
-        for (instr, payload) in &self.queue {
-            w.u64("ci", *instr);
-            enc(w, payload);
-        }
-        match (&self.running, self.running_since) {
-            (Some(payload), Some(since)) => {
-                w.bool("cr", true);
-                w.time("cs", since);
-                enc(w, payload);
-            }
-            _ => w.bool("cr", false),
-        }
-        self.util.snap_export(w);
-        w.u64("cc", self.completed);
-    }
-
-    /// Rebuild a CPU from [`Cpu::snap_export`] tokens.
-    pub fn snap_import(
-        params: CpuParams,
-        r: &mut SnapReader<'_>,
-        mut dec: impl FnMut(&mut SnapReader<'_>) -> Result<T, SnapError>,
-    ) -> Result<Self, SnapError> {
-        let qlen = r.usize("cq")?;
-        let mut queue = VecDeque::with_capacity(qlen);
-        for _ in 0..qlen {
-            let instr = r.u64("ci")?;
-            queue.push_back((instr, dec(r)?));
-        }
-        let (running, running_since) = if r.bool("cr")? {
-            let since = r.time("cs")?;
-            (Some(dec(r)?), Some(since))
-        } else {
-            (None, None)
-        };
-        let util = Utilization::snap_import(r)?;
-        let completed = r.u64("cc")?;
-        Ok(Cpu {
-            params,
-            queue,
-            running,
-            running_since,
-            util,
-            completed,
-        })
     }
 }
 

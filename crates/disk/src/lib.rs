@@ -33,7 +33,7 @@
 #![warn(missing_docs)]
 
 use spiffi_simcore::stats::Counter;
-use spiffi_simcore::{SimDuration, SimRng, SimTime, SnapError, SnapReader, SnapWriter};
+use spiffi_simcore::{SimDuration, SimRng, SimTime};
 
 /// Kibibyte.
 pub const KB: u64 = 1024;
@@ -325,65 +325,6 @@ impl Disk {
     /// Bytes transferred in the current window.
     pub fn bytes_read(&self) -> u64 {
         self.bytes_read
-    }
-
-    /// Serialize the drive's mutable state: head position, cache contexts
-    /// (slot order preserved verbatim — `take_context` scans positionally),
-    /// and window accounting. Parameters are configuration and are not
-    /// snapshotted.
-    pub fn snap_export(&self, w: &mut SnapWriter) {
-        w.u32("dh", self.head_cylinder);
-        w.usize("dc", self.contexts.len());
-        for &(end, stamp) in &self.contexts {
-            w.u64("de", end);
-            w.u64("ds", stamp);
-        }
-        w.u64("dt", self.context_stamp);
-        w.u32("dz", self.latency_scale_pct);
-        w.dur("db", self.busy);
-        w.time("dw", self.window_start);
-        w.u64("dr", self.reads.get());
-        w.u64("dq", self.sequential_reads.get());
-        w.u64("dy", self.bytes_read);
-    }
-
-    /// Rebuild a drive from [`Disk::snap_export`] tokens.
-    pub fn snap_import(params: DiskParams, r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let head_cylinder = r.u32("dh")?;
-        let n = r.usize("dc")?;
-        let mut contexts = Vec::with_capacity(params.cache_contexts.max(n));
-        for _ in 0..n {
-            let end = r.u64("de")?;
-            let stamp = r.u64("ds")?;
-            contexts.push((end, stamp));
-        }
-        let context_stamp = r.u64("dt")?;
-        let latency_scale_pct = r.u32("dz")?;
-        if latency_scale_pct == 0 {
-            return Err(SnapError::BadValue {
-                key: "dz",
-                value: "0".into(),
-            });
-        }
-        let busy = r.dur("db")?;
-        let window_start = r.time("dw")?;
-        let mut reads = Counter::new();
-        reads.add(r.u64("dr")?);
-        let mut sequential_reads = Counter::new();
-        sequential_reads.add(r.u64("dq")?);
-        let bytes_read = r.u64("dy")?;
-        Ok(Disk {
-            params,
-            head_cylinder,
-            contexts,
-            context_stamp,
-            latency_scale_pct,
-            busy,
-            window_start,
-            reads,
-            sequential_reads,
-            bytes_read,
-        })
     }
 }
 

@@ -17,7 +17,7 @@
 #![warn(missing_docs)]
 
 use spiffi_simcore::stats::{Counter, RateTracker};
-use spiffi_simcore::{SimDuration, SimTime, SnapError, SnapReader, SnapWriter};
+use spiffi_simcore::{SimDuration, SimTime};
 
 /// Wire parameters (defaults: Table 1).
 #[derive(Clone, Copy, Debug)]
@@ -99,25 +99,6 @@ impl Network {
     pub fn reset_window(&mut self, now: SimTime) {
         self.traffic.reset_window(now);
         self.messages.reset();
-    }
-
-    /// Serialize the bus's traffic accounting (parameters are
-    /// configuration and are not snapshotted).
-    pub fn snap_export(&self, w: &mut SnapWriter) {
-        self.traffic.snap_export(w);
-        w.u64("nm", self.messages.get());
-    }
-
-    /// Rebuild a bus from [`Network::snap_export`] tokens.
-    pub fn snap_import(params: NetParams, r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let traffic = RateTracker::snap_import(r)?;
-        let mut messages = Counter::new();
-        messages.add(r.u64("nm")?);
-        Ok(Network {
-            params,
-            traffic,
-            messages,
-        })
     }
 }
 

@@ -33,8 +33,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet, VecDeque};
 
 use spiffi_layout::BlockAddr;
-use spiffi_mpeg::VideoId;
-use spiffi_simcore::{SimDuration, SimTime, SnapError, SnapReader, SnapWriter};
+use spiffi_simcore::{SimDuration, SimTime};
 
 /// One queued prefetch: the block to fetch and the deadline the true
 /// request for it is estimated to carry.
@@ -342,91 +341,6 @@ impl PrefetchQueue {
         debug_assert!(self.active > 0, "abort with no active prefetch");
         self.active -= 1;
         self.stats.aborted += 1;
-    }
-
-    fn snap_request(w: &mut SnapWriter, req: &PrefetchRequest) {
-        w.u32("pv", req.block.video.0);
-        w.u32("px", req.block.index);
-        w.time("pd", req.estimated_deadline);
-        w.u32("pt", req.stream);
-    }
-
-    fn read_request(r: &mut SnapReader<'_>) -> Result<PrefetchRequest, SnapError> {
-        Ok(PrefetchRequest {
-            block: BlockAddr {
-                video: VideoId(r.u32("pv")?),
-                index: r.u32("px")?,
-            },
-            estimated_deadline: r.time("pd")?,
-            stream: r.u32("pt")?,
-        })
-    }
-
-    /// Serialize the queue's mutable state. The FIFO keeps its order
-    /// verbatim; the deadline heap is exported as `(deadline, seq)`-sorted
-    /// triples — its canonical pop order — so layout-equivalent heaps
-    /// serialize identically. The configuration (`kind`) travels with the
-    /// job, not the snapshot.
-    pub fn snap_export(&self, w: &mut SnapWriter) {
-        w.usize("pf", self.fifo.len());
-        for req in &self.fifo {
-            Self::snap_request(w, req);
-        }
-        let mut heap: Vec<&(SimTime, u64, PrefetchEntry)> =
-            self.by_deadline.iter().map(|Reverse(t)| t).collect();
-        heap.sort_unstable_by_key(|&&(d, s, _)| (d, s));
-        w.usize("ph", heap.len());
-        for &(d, s, e) in heap {
-            w.time("pe", d);
-            w.u64("ps", s);
-            Self::snap_request(w, &e.0);
-        }
-        w.u64("pq", self.seq);
-        w.u32("pa", self.active);
-        w.u64("s0", self.stats.enqueued);
-        w.u64("s1", self.stats.deduplicated);
-        w.u64("s2", self.stats.issued);
-        w.u64("s3", self.stats.completed);
-        w.u64("s4", self.stats.aborted);
-        w.u64("s5", self.stats.cancelled);
-    }
-
-    /// Rebuild a queue from [`PrefetchQueue::snap_export`] tokens; the
-    /// dedup set is reconstructed from the queued entries.
-    pub fn snap_import(kind: PrefetchKind, r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let nf = r.usize("pf")?;
-        let mut fifo = VecDeque::with_capacity(nf);
-        let mut queued_blocks = HashSet::new();
-        for _ in 0..nf {
-            let req = Self::read_request(r)?;
-            queued_blocks.insert(req.block);
-            fifo.push_back(req);
-        }
-        let nh = r.usize("ph")?;
-        let mut by_deadline = BinaryHeap::with_capacity(nh);
-        for _ in 0..nh {
-            let d = r.time("pe")?;
-            let s = r.u64("ps")?;
-            let req = Self::read_request(r)?;
-            queued_blocks.insert(req.block);
-            by_deadline.push(Reverse((d, s, PrefetchEntry(req))));
-        }
-        Ok(PrefetchQueue {
-            kind,
-            fifo,
-            by_deadline,
-            queued_blocks,
-            seq: r.u64("pq")?,
-            active: r.u32("pa")?,
-            stats: PrefetchStats {
-                enqueued: r.u64("s0")?,
-                deduplicated: r.u64("s1")?,
-                issued: r.u64("s2")?,
-                completed: r.u64("s3")?,
-                aborted: r.u64("s4")?,
-                cancelled: r.u64("s5")?,
-            },
-        })
     }
 }
 

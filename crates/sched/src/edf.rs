@@ -10,9 +10,9 @@
 
 use std::collections::BTreeMap;
 
-use spiffi_simcore::{SimTime, SnapError, SnapReader, SnapWriter};
+use spiffi_simcore::SimTime;
 
-use crate::{read_request, snap_request, DiskRequest, DiskScheduler, RequestId};
+use crate::{DiskRequest, DiskScheduler, RequestId};
 
 /// Earliest-deadline-first: requests ordered by `(deadline, arrival)`;
 /// requests without deadlines sort after all deadlines, among themselves in
@@ -62,23 +62,6 @@ impl DiskScheduler for Edf {
 
     fn clone_box(&self) -> Box<dyn DiskScheduler> {
         Box::new(self.clone())
-    }
-
-    fn snap_export(&self, w: &mut SnapWriter) {
-        w.usize("en", self.by_deadline.len());
-        for r in self.by_deadline.values() {
-            snap_request(w, r);
-        }
-    }
-
-    fn snap_import(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        debug_assert!(self.by_deadline.is_empty(), "import onto a used scheduler");
-        let n = r.usize("en")?;
-        for _ in 0..n {
-            let req = read_request(r)?;
-            self.by_deadline.insert(Self::key(&req), req);
-        }
-        Ok(())
     }
 }
 

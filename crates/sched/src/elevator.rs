@@ -2,9 +2,9 @@
 
 use std::collections::BTreeMap;
 
-use spiffi_simcore::{SimTime, SnapError, SnapReader, SnapWriter};
+use spiffi_simcore::SimTime;
 
-use crate::{read_request, snap_request, DiskRequest, DiskScheduler, RequestId};
+use crate::{DiskRequest, DiskScheduler, RequestId};
 
 /// SCAN: "scans the disk cylinders starting with the innermost cylinder and
 /// working outward. When it reaches the outermost cylinder, the algorithm
@@ -111,25 +111,6 @@ impl DiskScheduler for Elevator {
 
     fn clone_box(&self) -> Box<dyn DiskScheduler> {
         Box::new(self.clone())
-    }
-
-    fn snap_export(&self, w: &mut SnapWriter) {
-        w.bool("lu", self.direction_up);
-        w.usize("ln", self.by_cylinder.len());
-        for r in self.by_cylinder.values() {
-            snap_request(w, r);
-        }
-    }
-
-    fn snap_import(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        debug_assert!(self.by_cylinder.is_empty(), "import onto a used scheduler");
-        self.direction_up = r.bool("lu")?;
-        let n = r.usize("ln")?;
-        for _ in 0..n {
-            let req = read_request(r)?;
-            self.by_cylinder.insert((req.cylinder, req.id), req);
-        }
-        Ok(())
     }
 }
 

@@ -2,9 +2,9 @@
 
 use std::collections::VecDeque;
 
-use spiffi_simcore::{SimTime, SnapError, SnapReader, SnapWriter};
+use spiffi_simcore::SimTime;
 
-use crate::{read_request, snap_request, DiskRequest, DiskScheduler, RequestId};
+use crate::{DiskRequest, DiskScheduler, RequestId};
 
 /// Service requests strictly in arrival order. The simplest correct
 /// scheduler; \[Hari94\] studies its memory requirements against elevator.
@@ -44,22 +44,6 @@ impl DiskScheduler for Fcfs {
 
     fn clone_box(&self) -> Box<dyn DiskScheduler> {
         Box::new(self.clone())
-    }
-
-    fn snap_export(&self, w: &mut SnapWriter) {
-        w.usize("fn", self.queue.len());
-        for r in &self.queue {
-            snap_request(w, r);
-        }
-    }
-
-    fn snap_import(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        debug_assert!(self.queue.is_empty(), "import onto a used scheduler");
-        let n = r.usize("fn")?;
-        for _ in 0..n {
-            self.queue.push_back(read_request(r)?);
-        }
-        Ok(())
     }
 }
 

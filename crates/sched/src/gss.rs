@@ -2,11 +2,9 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use spiffi_simcore::{SimTime, SnapError, SnapReader, SnapWriter};
+use spiffi_simcore::SimTime;
 
-use crate::{
-    read_request, scan_select, snap_request, DiskRequest, DiskScheduler, RequestId, StreamId,
-};
+use crate::{scan_select, DiskRequest, DiskScheduler, RequestId, StreamId};
 
 /// GSS "assigns each terminal to one of a fixed set of groups. These groups
 /// are processed repeatedly in round-robin order. To process a group, up to
@@ -157,47 +155,6 @@ impl DiskScheduler for Gss {
 
     fn clone_box(&self) -> Box<dyn DiskScheduler> {
         Box::new(self.clone())
-    }
-
-    fn snap_export(&self, w: &mut SnapWriter) {
-        w.u32("gg", self.current_group);
-        w.bool("gu", self.direction_up);
-        // The frozen batch is order-bearing (swap_remove reorders it, and
-        // scan_select ties break by position-independent (dist, id), but a
-        // verbatim dump is the only byte-stable representation).
-        w.usize("gb", self.batch.len());
-        for r in &self.batch {
-            snap_request(w, r);
-        }
-        let pending_total: usize = self.pending.values().map(|q| q.len()).sum();
-        w.usize("gp", pending_total);
-        for q in self.pending.values() {
-            for r in q {
-                snap_request(w, r);
-            }
-        }
-    }
-
-    fn snap_import(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        debug_assert!(self.len == 0, "import onto a used scheduler");
-        let current_group = r.u32("gg")?;
-        self.direction_up = r.bool("gu")?;
-        let nb = r.usize("gb")?;
-        let mut batch = Vec::with_capacity(nb);
-        for _ in 0..nb {
-            batch.push(read_request(r)?);
-        }
-        let np = r.usize("gp")?;
-        for _ in 0..np {
-            // push() rebuilds pending, members, and len.
-            self.push(read_request(r)?);
-        }
-        // The batch bypasses push(): it was already popped out of pending
-        // when the group's pass began.
-        self.len += batch.len();
-        self.batch = batch;
-        self.current_group = current_group;
-        Ok(())
     }
 }
 

@@ -40,7 +40,7 @@ pub use gss::Gss;
 pub use realtime::RealTime;
 pub use rr::RoundRobin;
 
-use spiffi_simcore::{SimDuration, SimTime, SnapError, SnapReader, SnapWriter};
+use spiffi_simcore::{SimDuration, SimTime};
 
 /// Identifies one pending disk request across scheduler and disk. The
 /// issuing layer allocates these densely from a counter.
@@ -117,16 +117,6 @@ pub trait DiskScheduler: Send + Sync {
     /// behind a fresh box. Lets simulation state holding a
     /// `Box<dyn DiskScheduler>` implement `Clone` for snapshot/fork.
     fn clone_box(&self) -> Box<dyn DiskScheduler>;
-
-    /// Serialize queued requests and sweep state as snapshot tokens. The
-    /// algorithm and its parameters are configuration — the importer
-    /// builds a fresh scheduler of the same [`SchedulerKind`] first.
-    fn snap_export(&self, w: &mut SnapWriter);
-
-    /// Restore state from [`DiskScheduler::snap_export`] tokens onto this
-    /// freshly built (empty) scheduler. After a successful import the
-    /// scheduler services requests exactly as the exported one would.
-    fn snap_import(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
 }
 
 impl Clone for Box<dyn DiskScheduler> {
@@ -238,50 +228,6 @@ pub(crate) fn scan_select(
         let i = pick(!direction_up).expect("non-empty candidate set");
         (i, !direction_up)
     }
-}
-
-/// Serialize one request as snapshot tokens (shared by every scheduler).
-pub(crate) fn snap_request(w: &mut SnapWriter, r: &DiskRequest) {
-    w.u64("qi", r.id.0);
-    w.u32("qc", r.cylinder);
-    match r.deadline {
-        Some(d) => {
-            w.bool("qd", true);
-            w.time("qt", d);
-        }
-        None => w.bool("qd", false),
-    }
-    match r.stream {
-        Some(s) => {
-            w.bool("qs", true);
-            w.u32("qm", s.0);
-        }
-        None => w.bool("qs", false),
-    }
-    w.bool("qp", r.is_prefetch);
-}
-
-/// Decode one request serialized by [`snap_request`].
-pub(crate) fn read_request(r: &mut SnapReader<'_>) -> Result<DiskRequest, SnapError> {
-    let id = RequestId(r.u64("qi")?);
-    let cylinder = r.u32("qc")?;
-    let deadline = if r.bool("qd")? {
-        Some(r.time("qt")?)
-    } else {
-        None
-    };
-    let stream = if r.bool("qs")? {
-        Some(StreamId(r.u32("qm")?))
-    } else {
-        None
-    };
-    Ok(DiskRequest {
-        id,
-        cylinder,
-        deadline,
-        stream,
-        is_prefetch: r.bool("qp")?,
-    })
 }
 
 #[cfg(test)]

@@ -1,9 +1,9 @@
 //! The paper's real-time priority-elevator disk scheduling algorithm
 //! (§5.2.2, Figures 5 and 6), extending the priority scheduler of \[Care89\].
 
-use spiffi_simcore::{SimDuration, SimTime, SnapError, SnapReader, SnapWriter};
+use spiffi_simcore::{SimDuration, SimTime};
 
-use crate::{read_request, snap_request, DiskRequest, DiskScheduler, RequestId};
+use crate::{DiskRequest, DiskScheduler, RequestId};
 
 /// Real-time scheduling: each request's deadline maps to one of a fixed set
 /// of priority classes via uniformly spaced cutoffs; the highest-priority
@@ -139,26 +139,6 @@ impl DiskScheduler for RealTime {
 
     fn clone_box(&self) -> Box<dyn DiskScheduler> {
         Box::new(self.clone())
-    }
-
-    fn snap_export(&self, w: &mut SnapWriter) {
-        w.bool("tu", self.direction_up);
-        // swap_remove reorders the queue; dump it verbatim so the
-        // re-imported scheduler swaps identically.
-        w.usize("tn", self.queue.len());
-        for r in &self.queue {
-            snap_request(w, r);
-        }
-    }
-
-    fn snap_import(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        debug_assert!(self.queue.is_empty(), "import onto a used scheduler");
-        self.direction_up = r.bool("tu")?;
-        let n = r.usize("tn")?;
-        for _ in 0..n {
-            self.queue.push(read_request(r)?);
-        }
-        Ok(())
     }
 }
 

@@ -2,9 +2,9 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use spiffi_simcore::{SimTime, SnapError, SnapReader, SnapWriter};
+use spiffi_simcore::SimTime;
 
-use crate::{read_request, snap_request, DiskRequest, DiskScheduler, RequestId, StreamId};
+use crate::{DiskRequest, DiskScheduler, RequestId, StreamId};
 
 /// Service streams in cyclic order, one request per turn. Equivalent to
 /// GSS with one group per terminal (§5.2.2: "if the number of groups is
@@ -91,40 +91,6 @@ impl DiskScheduler for RoundRobin {
 
     fn clone_box(&self) -> Box<dyn DiskScheduler> {
         Box::new(self.clone())
-    }
-
-    fn snap_export(&self, w: &mut SnapWriter) {
-        match self.cursor {
-            Some(c) => {
-                w.bool("rc", true);
-                w.u32("rv", c.0);
-            }
-            None => w.bool("rc", false),
-        }
-        w.usize("rn", self.len);
-        for q in self.queues.values() {
-            for r in q {
-                snap_request(w, r);
-            }
-        }
-    }
-
-    fn snap_import(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        debug_assert!(self.len == 0, "import onto a used scheduler");
-        let cursor = if r.bool("rc")? {
-            Some(StreamId(r.u32("rv")?))
-        } else {
-            None
-        };
-        let n = r.usize("rn")?;
-        for _ in 0..n {
-            // push() rebuilds the per-stream queues and len; requests were
-            // exported in (stream asc, queue position) order so each
-            // stream's FIFO order is preserved.
-            self.push(read_request(r)?);
-        }
-        self.cursor = cursor;
-        Ok(())
     }
 }
 

@@ -221,13 +221,11 @@ fn remove_is_precise() {
     }
 }
 
-/// Snapshot round trip: after an arbitrary prefix of pushes and pops, a
-/// scheduler exported and re-imported onto a fresh instance of the same
-/// kind must (a) re-export to byte-identical tokens and (b) drain in
-/// exactly the order the original would have.
+/// Fork contract: after an arbitrary prefix of pushes and pops, a deep
+/// clone of a scheduler must drain in exactly the order the original
+/// would have.
 #[test]
-fn snapshot_round_trip_mid_workload() {
-    use spiffi_simcore::{SnapReader, SnapWriter};
+fn clone_mid_workload_drains_identically() {
     for seed in 0..64u64 {
         let mut rng = SimRng::stream(0x54a9, seed);
         let n = 1 + rng.index(40);
@@ -247,27 +245,7 @@ fn snapshot_round_trip_mid_workload() {
                 }
             }
 
-            let mut w = SnapWriter::new();
-            s.snap_export(&mut w);
-            let bytes = w.finish();
-
-            let mut clone = kind.build();
-            let mut rd = SnapReader::new(&bytes);
-            clone
-                .snap_import(&mut rd)
-                .unwrap_or_else(|e| panic!("seed {seed} import under {}: {e}", s.name()));
-            rd.finish()
-                .unwrap_or_else(|e| panic!("seed {seed} trailing under {}: {e}", s.name()));
-
-            let mut w2 = SnapWriter::new();
-            clone.snap_export(&mut w2);
-            assert_eq!(
-                bytes,
-                w2.finish(),
-                "seed {seed}: re-export not byte-identical under {}",
-                s.name()
-            );
-
+            let mut clone = s.clone();
             assert_eq!(s.len(), clone.len(), "seed {seed} under {}", s.name());
             let mut head2 = head;
             let mut now2 = now;

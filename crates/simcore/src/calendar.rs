@@ -663,69 +663,6 @@ impl<E> Calendar<E> {
         }
         self.now = at;
     }
-
-    /// The next insertion sequence number (snapshot serialization).
-    pub fn next_seq(&self) -> u64 {
-        self.seq
-    }
-
-    /// Every pending entry as `(time, seq, &event)`, sorted by the
-    /// calendar's `(time, seq)` pop order — a canonical enumeration that
-    /// is identical whichever kernel holds the entries and however the
-    /// bucket wheel happens to be laid out.
-    pub fn export_entries(&self) -> Vec<(SimTime, u64, &E)> {
-        let mut out: Vec<(SimTime, u64, &E)> = match &self.kernel {
-            Kernel::Bucket(q) => q
-                .buckets
-                .iter()
-                .flatten()
-                .map(|e| (e.time, e.seq, &e.event))
-                .collect(),
-            Kernel::Heap(h) => h
-                .iter()
-                .map(|Reverse(e)| (e.time, e.seq, &e.event))
-                .collect(),
-        };
-        out.sort_unstable_by_key(|&(t, s, _)| (t, s));
-        out
-    }
-
-    /// Rebuild a calendar from snapshot state: the clock, the sequence
-    /// counter, the lifetime scheduled count, and the pending entries with
-    /// their original `(time, seq)` keys. Pop order — and therefore every
-    /// downstream event history — matches the snapshotted calendar
-    /// exactly.
-    pub fn from_entries(
-        kind: KernelKind,
-        now: SimTime,
-        seq: u64,
-        scheduled_total: u64,
-        entries: Vec<(SimTime, u64, E)>,
-    ) -> Self {
-        let len = entries.len();
-        let mut kernel = match kind {
-            KernelKind::Bucket => Kernel::Bucket(BucketQueue::with_capacity(len)),
-            KernelKind::Heap => Kernel::Heap(BinaryHeap::with_capacity(len)),
-        };
-        for (time, seq, event) in entries {
-            match &mut kernel {
-                Kernel::Bucket(q) => q.insert(time, seq, event),
-                Kernel::Heap(h) => h.push(Reverse(Entry { time, seq, event })),
-            }
-        }
-        if let Kernel::Bucket(q) = &mut kernel {
-            // One planning pass establishes width, horizon and cursor for
-            // the restored population (mirrors `set_kernel`).
-            q.rebuild(now);
-        }
-        Calendar {
-            kernel,
-            now,
-            seq,
-            scheduled_total,
-            len,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -935,41 +872,6 @@ mod tests {
         let mut expect: Vec<(SimTime, u64)> = (0..100u64).map(|i| (SimTime(i % 7), i)).collect();
         expect.sort_by_key(|&(t, i)| (t, i));
         assert_eq!(heap_order, expect[1..]);
-    }
-
-    #[test]
-    fn export_import_round_trip_preserves_pop_order() {
-        for k in kernels() {
-            let mut cal = Calendar::with_capacity_and_kernel(0, k);
-            for i in 0..500u64 {
-                cal.schedule_at(SimTime((i % 13) * 1000), i);
-            }
-            for _ in 0..100 {
-                cal.pop();
-            }
-            let entries: Vec<(SimTime, u64, u64)> = cal
-                .export_entries()
-                .into_iter()
-                .map(|(t, s, &e)| (t, s, e))
-                .collect();
-            let mut restored = Calendar::from_entries(
-                k,
-                cal.now(),
-                cal.next_seq(),
-                cal.scheduled_total(),
-                entries,
-            );
-            assert_eq!(restored.len(), cal.len(), "{k:?}");
-            assert_eq!(restored.now(), cal.now());
-            assert_eq!(restored.scheduled_total(), cal.scheduled_total());
-            assert_eq!(restored.next_seq(), cal.next_seq());
-            // New scheduling continues the original sequence.
-            restored.schedule_at(SimTime(1_000_000), 999);
-            cal.schedule_at(SimTime(1_000_000), 999);
-            let a: Vec<(SimTime, u64)> = std::iter::from_fn(|| cal.pop()).collect();
-            let b: Vec<(SimTime, u64)> = std::iter::from_fn(|| restored.pop()).collect();
-            assert_eq!(a, b, "{k:?}");
-        }
     }
 
     #[test]

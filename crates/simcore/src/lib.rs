@@ -26,12 +26,10 @@ pub mod calendar;
 pub mod dist;
 pub mod hash;
 pub mod rng;
-pub mod snap;
 pub mod stats;
 pub mod time;
 
 pub use calendar::{Calendar, KernelKind};
 pub use hash::{FastHashMap, FastHashSet};
 pub use rng::SimRng;
-pub use snap::{SnapError, SnapReader, SnapWriter};
 pub use time::{SimDuration, SimTime};

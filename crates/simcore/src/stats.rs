@@ -15,7 +15,6 @@
 //! * [`Counter`] — a plain event counter with window reset.
 //! * [`Histogram`] — fixed-width bins for latency/queue-length profiles.
 
-use crate::snap::{SnapError, SnapReader, SnapWriter};
 use crate::time::{SimDuration, SimTime};
 
 /// Welford online mean/variance accumulator.
@@ -183,24 +182,6 @@ impl Utilization {
         }
         busy.as_secs_f64() / elapsed.as_secs_f64()
     }
-
-    /// Serialize the tracker's state.
-    pub fn snap_export(&self, w: &mut SnapWriter) {
-        w.bool("ub", self.busy);
-        w.time("ul", self.last_change);
-        w.time("uw", self.window_start);
-        w.dur("ut", self.busy_time);
-    }
-
-    /// Rebuild a tracker from [`Utilization::snap_export`] tokens.
-    pub fn snap_import(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Utilization {
-            busy: r.bool("ub")?,
-            last_change: r.time("ul")?,
-            window_start: r.time("uw")?,
-            busy_time: r.dur("ut")?,
-        })
-    }
 }
 
 /// Bytes-per-second rate tracking with per-second buckets.
@@ -278,35 +259,6 @@ impl RateTracker {
     /// Total bytes recorded in the window.
     pub fn total_bytes(&self) -> u64 {
         self.total_bytes
-    }
-
-    /// Serialize the tracker's state (including its bucket width).
-    pub fn snap_export(&self, w: &mut SnapWriter) {
-        w.dur("rk", self.bucket);
-        w.time("rw", self.window_start);
-        w.u64("rb", self.current_bucket);
-        w.u64("rc", self.current_bytes);
-        w.u64("rp", self.peak_bytes);
-        w.u64("rt", self.total_bytes);
-    }
-
-    /// Rebuild a tracker from [`RateTracker::snap_export`] tokens.
-    pub fn snap_import(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let bucket = r.dur("rk")?;
-        if bucket == SimDuration::ZERO {
-            return Err(SnapError::BadValue {
-                key: "rk",
-                value: "0".to_string(),
-            });
-        }
-        Ok(RateTracker {
-            bucket,
-            window_start: r.time("rw")?,
-            current_bucket: r.u64("rb")?,
-            current_bytes: r.u64("rc")?,
-            peak_bytes: r.u64("rp")?,
-            total_bytes: r.u64("rt")?,
-        })
     }
 }
 
@@ -468,60 +420,6 @@ impl Histogram {
         self.sum = 0.0;
         self.max = 0.0;
         self.rejected = 0;
-    }
-
-    /// Serialize the histogram: shape, then only the non-zero bins (most
-    /// of a latency histogram's bins are empty at snapshot time).
-    pub fn snap_export(&self, w: &mut SnapWriter) {
-        w.f64("hw", self.width);
-        w.usize("hn", self.bins.len());
-        let nonzero = self.bins.iter().filter(|&&b| b != 0).count();
-        w.usize("hz", nonzero);
-        for (i, &b) in self.bins.iter().enumerate() {
-            if b != 0 {
-                w.usize("hi", i);
-                w.u64("hv", b);
-            }
-        }
-        w.u64("ho", self.overflow);
-        w.u64("hc", self.count);
-        w.f64("hs", self.sum);
-        w.f64("hm", self.max);
-        w.u64("hr", self.rejected);
-    }
-
-    /// Rebuild a histogram from [`Histogram::snap_export`] tokens.
-    pub fn snap_import(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let width = r.f64("hw")?;
-        let nbins = r.usize("hn")?;
-        if width.is_nan() || width <= 0.0 || nbins == 0 {
-            return Err(SnapError::BadValue {
-                key: "hw",
-                value: format!("{width}/{nbins}"),
-            });
-        }
-        let mut bins = vec![0u64; nbins];
-        let nonzero = r.usize("hz")?;
-        for _ in 0..nonzero {
-            let i = r.usize("hi")?;
-            let v = r.u64("hv")?;
-            if i >= nbins {
-                return Err(SnapError::BadValue {
-                    key: "hi",
-                    value: i.to_string(),
-                });
-            }
-            bins[i] = v;
-        }
-        Ok(Histogram {
-            width,
-            bins,
-            overflow: r.u64("ho")?,
-            count: r.u64("hc")?,
-            sum: r.f64("hs")?,
-            max: r.f64("hm")?,
-            rejected: r.u64("hr")?,
-        })
     }
 }
 
@@ -779,69 +677,6 @@ mod tests {
         assert_eq!(all_neg.mean(), 0.0);
         assert_eq!(all_neg.max(), 0.0);
         assert_eq!(all_neg.quantile(1.0), 0.0); // the clamped max, not bin 0's edge
-    }
-
-    #[test]
-    fn stats_snapshot_round_trips() {
-        let mut u = Utilization::new();
-        u.set_busy(SimTime::from_secs_f64(1.0), true);
-        u.set_busy(SimTime::from_secs_f64(3.0), false);
-        u.set_busy(SimTime::from_secs_f64(4.0), true);
-        let mut w = SnapWriter::new();
-        u.snap_export(&mut w);
-        let line = w.finish();
-        let u2 = Utilization::snap_import(&mut SnapReader::new(&line)).unwrap();
-        let now = SimTime::from_secs_f64(9.0);
-        assert_eq!(u.utilization(now).to_bits(), u2.utilization(now).to_bits());
-        assert_eq!(u.is_busy(), u2.is_busy());
-
-        let mut r = RateTracker::new(SimDuration::from_secs(1));
-        r.add(SimTime::from_secs_f64(0.5), 100);
-        r.add(SimTime::from_secs_f64(2.5), 7);
-        let mut w = SnapWriter::new();
-        r.snap_export(&mut w);
-        let line = w.finish();
-        let mut r2 = RateTracker::snap_import(&mut SnapReader::new(&line)).unwrap();
-        assert_eq!(r.total_bytes(), r2.total_bytes());
-        assert_eq!(
-            r.peak_bytes_per_sec().to_bits(),
-            r2.peak_bytes_per_sec().to_bits()
-        );
-        // Future observations land identically.
-        r.add(SimTime::from_secs_f64(3.5), 11);
-        r2.add(SimTime::from_secs_f64(3.5), 11);
-        assert_eq!(r.total_bytes(), r2.total_bytes());
-
-        let mut h = Histogram::new(0.25, 40);
-        for x in [0.1, 0.3, 5.5, 100.0, -2.0, f64::NAN] {
-            h.add(x);
-        }
-        let mut w = SnapWriter::new();
-        h.snap_export(&mut w);
-        let line = w.finish();
-        let h2 = Histogram::snap_import(&mut SnapReader::new(&line)).unwrap();
-        assert_eq!(h.count(), h2.count());
-        assert_eq!(h.overflow(), h2.overflow());
-        assert_eq!(h.rejected(), h2.rejected());
-        assert_eq!(h.mean().to_bits(), h2.mean().to_bits());
-        assert_eq!(h.max().to_bits(), h2.max().to_bits());
-        assert_eq!(h.quantile(0.5).to_bits(), h2.quantile(0.5).to_bits());
-        // Re-export of the import is byte-identical.
-        let mut w2 = SnapWriter::new();
-        h2.snap_export(&mut w2);
-        assert_eq!(w2.finish(), line);
-    }
-
-    #[test]
-    fn histogram_import_rejects_bad_shape() {
-        let mut w = SnapWriter::new();
-        let mut h = Histogram::new(1.0, 4);
-        h.add(1.0);
-        h.snap_export(&mut w);
-        let line = w.finish();
-        // Corrupt the bin index beyond the bin count.
-        let bad = line.replace("hi=1", "hi=99");
-        assert!(Histogram::snap_import(&mut SnapReader::new(&bad)).is_err());
     }
 
     #[test]

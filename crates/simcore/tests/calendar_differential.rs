@@ -4,7 +4,7 @@
 //! observable* — pop order (including same-instant tie order), bounded
 //! pops, clocks, counters, and panics on past-scheduling — because the
 //! simulation's determinism contract (byte-identical reports at any
-//! thread/worker/snapshot setting) rests on the kernels being
+//! thread/snapshot setting) rests on the kernels being
 //! interchangeable.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -218,23 +218,21 @@ pub(crate) fn terminal_label(ev: TerminalEvent) -> &'static str {
 /// Microseconds with nanosecond precision, as Chrome's `ts`/`dur` fields
 /// expect. Formatted from the integer nanosecond count so the rendering
 /// is exact and deterministic.
-pub(crate) fn micros(ns: u64) -> String {
+fn micros(ns: u64) -> String {
     format!("{}.{:03}", ns / 1_000, ns % 1_000)
 }
 
 /// Comma separation state for a `traceEvents` array under construction.
-/// Shared between [`chrome_trace`] and [`crate::merge`] so both emit
-/// byte-identical separators.
-pub(crate) struct Emitter {
+struct Emitter {
     first: bool,
 }
 
 impl Emitter {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Emitter { first: true }
     }
 
-    pub(crate) fn line(&mut self, out: &mut String, line: &str) {
+    fn line(&mut self, out: &mut String, line: &str) {
         if !self.first {
             out.push_str(",\n");
         }
@@ -260,16 +258,10 @@ pub fn chrome_trace(events: &[TraceEvent], rows: &[SampleRow]) -> String {
     out
 }
 
-/// The dispatcher-side body of [`chrome_trace`]: process/thread metadata,
-/// event slices/instants, and the sampler counter tracks, written into an
-/// open `traceEvents` array. [`crate::merge`] appends worker tracks after
-/// this.
-pub(crate) fn emit_dispatcher(
-    out: &mut String,
-    em: &mut Emitter,
-    events: &[TraceEvent],
-    rows: &[SampleRow],
-) {
+/// The body of [`chrome_trace`]: process/thread metadata, event
+/// slices/instants, and the sampler counter tracks, written into an open
+/// `traceEvents` array.
+fn emit_dispatcher(out: &mut String, em: &mut Emitter, events: &[TraceEvent], rows: &[SampleRow]) {
     let mut emit = |line: String, out: &mut String| {
         em.line(out, &line);
     };
@@ -436,13 +428,13 @@ pub(crate) fn emit_dispatcher(
         }
     }
 
-    emit_counter_rows(out, em, 0, rows);
+    emit_counter_rows(out, em, rows);
 }
 
 /// The four sampler counter tracks (`disk_util`, `net_bytes`,
-/// `pool_in_use`, `outstanding_deadlines`) under process `pid` — pid 0
-/// for the dispatcher run, a worker-track pid in merged traces.
-pub(crate) fn emit_counter_rows(out: &mut String, em: &mut Emitter, pid: u32, rows: &[SampleRow]) {
+/// `pool_in_use`, `outstanding_deadlines`) under the system process.
+fn emit_counter_rows(out: &mut String, em: &mut Emitter, rows: &[SampleRow]) {
+    let pid = 0;
     for row in rows {
         let ts = micros(row.t.0);
         let mut util = String::new();
@@ -486,7 +478,7 @@ pub(crate) fn emit_counter_rows(out: &mut String, em: &mut Emitter, pid: u32, ro
     }
 }
 
-/// The run's end time as recorded in the merged stream — the maximum
+/// The run's end time as recorded in the event stream — the maximum
 /// timestamp across events and rows. Handy for labelling exports.
 pub fn stream_end(events: &[TraceEvent], rows: &[SampleRow]) -> SimTime {
     let e = events.last().map(|e| e.t()).unwrap_or(SimTime::ZERO);

@@ -35,16 +35,14 @@
 pub mod export;
 mod forensics;
 pub mod json;
-pub mod merge;
 mod probe;
 mod record;
 mod sample;
 
 pub use forensics::{ForensicsDump, GlitchForensics};
-pub use merge::{StreamSpan, WorkerStream};
 pub use probe::{
     CpuJobKind, DiskIoDone, DiskIoStart, FaultEvent, NetMsgKind, NetSend, NoopProbe, PoolEvent,
     Probe, TerminalEvent,
 };
 pub use record::{TraceEvent, TraceRecorder};
-pub use sample::{mean_disk_utilization_of, SampleRow, Sampler};
+pub use sample::{SampleRow, Sampler};

@@ -150,11 +150,8 @@ impl Sampler {
 }
 
 /// Mean per-disk utilization across rows whose interval lies entirely
-/// inside `[from, to]` — the free-function form of
-/// [`Sampler::mean_disk_utilization`], usable on rows that crossed a
-/// process boundary (worker telemetry streams) where the `Sampler`
-/// itself is gone.
-pub fn mean_disk_utilization_of(
+/// inside `[from, to]` (see [`Sampler::mean_disk_utilization`]).
+fn mean_disk_utilization_of(
     rows: &[SampleRow],
     interval: SimDuration,
     from: SimTime,

@@ -23,14 +23,8 @@ fn main() {
     // One engine for the whole session: probes run on up to
     // `engine_threads()` worker threads (override with SPIFFI_THREADS) and
     // every run shares one cached copy of the generated video library.
-    // With SPIFFI_WORKERS set, capacity searches dispatch to a pool of
-    // spiffi-worker child processes instead.
     let engine = Engine::new();
-    println!(
-        "experiment engine: {} thread(s), {} worker process(es)\n",
-        engine.threads(),
-        engine.process_workers()
-    );
+    println!("experiment engine: {} thread(s)\n", engine.threads());
 
     println!("glitch curve (the paper's Figure 9 procedure):");
     println!(
