@@ -21,16 +21,14 @@
 //! by `Engine::max_glitch_free_terminals`, whose counted outcome the
 //! binary asserts byte-identical to a fresh single-threaded search (the
 //! CI correctness gate; wall clock is reported but never gated) — and
-//! the warm-snapshot search (`snapshot`), which captures each base
-//! warm-up once and forks it per probe, gated byte-identical to a
-//! from-scratch sequential search on the same marginal timeline.
+//! steady-state pumps at two large populations (`scale`), whose counted
+//! events CI compares against the checked-in file.
 
 use std::sync::atomic::AtomicU32;
 use std::time::Instant;
 
 use spiffi_core::{
-    engine_threads, fan_out, replication_seed, CapacitySearch, Engine, JournalSnapshot, KernelKind,
-    SnapshotMode, SystemConfig, VodSystem,
+    engine_threads, fan_out, replication_seed, CapacitySearch, Engine, SystemConfig, VodSystem,
 };
 use spiffi_mpeg::{AccessPattern, Library};
 use spiffi_sched::SchedulerKind;
@@ -217,17 +215,15 @@ fn spec_workload(engine: &Engine) -> (u32, u64, u64) {
 /// overload churn).
 const SCALE_SIZES: [u32; 2] = [4_096, 16_384];
 
-/// Measured repetitions per (size, kernel) cell of the scale section.
-/// The recorded wall time is the best of these — the minimum is the
-/// least-noise estimator on a shared machine, and both kernels get the
-/// same treatment.
+/// Measured repetitions per population of the scale section. The
+/// recorded wall time is the best of these — the minimum is the
+/// least-noise estimator on a shared machine.
 const SCALE_ITERS: u32 = 5;
 
 /// The scale-section configuration: `terminals / 32` nodes of 4 disks
 /// each, uniform access over 64 one-minute titles, 32 MB of buffer per
 /// node, and a short schedule (the cost is in the population, not the
-/// window). Only the event-kernel choice varies between the two runs of
-/// each cell, so events processed must be byte-identical.
+/// window).
 fn scale_config(n_terminals: u32) -> SystemConfig {
     let mut c = SystemConfig::small_test();
     let nodes = (n_terminals / 32).max(1);
@@ -251,15 +247,13 @@ fn scale_config(n_terminals: u32) -> SystemConfig {
 struct ScaleCell {
     terminals: u32,
     events_processed: u64,
-    heap_wall_seconds: f64,
-    bucket_wall_seconds: f64,
+    wall_seconds: f64,
 }
 
-/// One steady-state pump at `n` terminals under `kind`: wall seconds,
-/// events processed, glitches.
-fn scale_run(n: u32, kind: KernelKind, library: &Library) -> (f64, u64, u64) {
-    let mut sys = VodSystem::with_library(scale_config(n), library.clone());
-    sys.set_calendar_kernel(kind);
+/// One steady-state pump at `n` terminals: wall seconds, events
+/// processed, glitches.
+fn scale_run(n: u32, library: &Library) -> (f64, u64, u64) {
+    let sys = VodSystem::with_library(scale_config(n), library.clone());
     let start = Instant::now();
     let r = sys.run();
     (
@@ -269,37 +263,32 @@ fn scale_run(n: u32, kind: KernelKind, library: &Library) -> (f64, u64, u64) {
     )
 }
 
-/// Measure the scale section: for each population, run both kernels and
-/// assert their counted events identical (the kernel swap must be
-/// invisible to everything but the clock on the wall).
+/// Measure the scale section: for each population, the best wall time of
+/// [`SCALE_ITERS`] runs, asserting every run counted the same events.
 fn measure_scale() -> Vec<ScaleCell> {
     // All scale configs share n_videos/video/seed, hence one library.
     let library = VodSystem::generate_library(&scale_config(SCALE_SIZES[0]));
-    scale_run(SCALE_SIZES[0], KernelKind::Bucket, &library); // warm-up
+    scale_run(SCALE_SIZES[0], &library); // warm-up
     SCALE_SIZES
         .iter()
         .map(|&n| {
-            let (mut heap_wall, mut bucket_wall) = (f64::INFINITY, f64::INFINITY);
-            let (mut events, mut glitches) = (0, 0);
+            let mut wall = f64::INFINITY;
+            let mut counted = None;
             for _ in 0..SCALE_ITERS {
-                let (w, e, g) = scale_run(n, KernelKind::Heap, &library);
-                heap_wall = heap_wall.min(w);
-                let (w2, e2, g2) = scale_run(n, KernelKind::Bucket, &library);
-                bucket_wall = bucket_wall.min(w2);
+                let (w, e, g) = scale_run(n, &library);
+                wall = wall.min(w);
                 assert_eq!(
+                    *counted.get_or_insert((e, g)),
                     (e, g),
-                    (e2, g2),
-                    "kernel swap changed the simulation at {n} terminals"
+                    "repeated runs diverged at {n} terminals"
                 );
-                events = e;
-                glitches = g;
             }
+            let (events_processed, glitches) = counted.expect("SCALE_ITERS > 0");
             assert_eq!(glitches, 0, "scale workload must stay glitch-free at {n}");
             ScaleCell {
                 terminals: n,
-                events_processed: events,
-                heap_wall_seconds: heap_wall,
-                bucket_wall_seconds: bucket_wall,
+                events_processed,
+                wall_seconds: wall,
             }
         })
         .collect()
@@ -322,39 +311,6 @@ struct SpecSample {
     wall_seconds: f64,
     events_processed: u64,
     capacity: u32,
-}
-
-/// The warm-snapshot variant: the same per-scheduler searches as the
-/// speculative section, but the engine runs in [`SnapshotMode::Warm`] —
-/// each base warm-up is simulated once, captured at the measurement
-/// boundary, and every later probe forks the snapshot and simulates only
-/// the marginal terminals. Snapshot modes use marginal timing (the
-/// warm-up is extended by one stagger window), so the correctness
-/// reference is a from-scratch sequential search in
-/// [`SnapshotMode::Cold`] — same timeline, no snapshots — not the legacy
-/// sections. Returns the sample plus the engine's journal so the JSON
-/// can report the snapshot hit counters.
-fn measure_snapshot(threads: usize) -> (SpecSample, JournalSnapshot) {
-    let engine = Engine::with_threads(threads).with_snapshot_mode(SnapshotMode::Warm);
-    let cold_start = Instant::now();
-    let (_, _, waste) = spec_workload(&engine);
-    let cold_wall = cold_start.elapsed().as_secs_f64();
-    let start = Instant::now();
-    let mut events = 0;
-    let mut capacity = 0;
-    for _ in 0..ITERS {
-        let (cap, e, _) = spec_workload(&engine);
-        events += e;
-        capacity = cap;
-    }
-    let sample = SpecSample {
-        cold_wall_seconds: cold_wall,
-        speculative_events: waste,
-        wall_seconds: start.elapsed().as_secs_f64(),
-        events_processed: events,
-        capacity,
-    };
-    (sample, engine.journal().snapshot())
 }
 
 fn measure_speculative(threads: usize) -> SpecSample {
@@ -545,60 +501,14 @@ fn main() {
         speculative.capacity
     );
 
-    let (snapshot, snap_journal) = measure_snapshot(threads);
-    // Correctness gate for the warm-fork path: capacity and counted
-    // events must be byte-identical to a from-scratch sequential search
-    // on the same marginal timeline (Cold mode — every probe simulated
-    // from time zero, no snapshots, no speculation interleaving).
-    let (snap_seq_capacity, snap_seq_events) = {
-        let reference = Engine::with_threads(1).with_snapshot_mode(SnapshotMode::Cold);
-        let (cap, events, waste) = spec_workload(&reference);
-        assert_eq!(waste, 0, "sequential resolution must not speculate");
-        assert!(
-            reference.snapshot_cache().is_empty(),
-            "the cold reference must not capture snapshots"
-        );
-        (cap, events)
-    };
-    assert_eq!(
-        snapshot.capacity, snap_seq_capacity,
-        "warm-fork search changed the capacity"
-    );
-    assert_eq!(
-        snapshot.events_processed,
-        snap_seq_events * ITERS as u64,
-        "warm-fork search's counted events differ from the from-scratch sequential search"
-    );
-    assert!(
-        snap_journal.snapshot_hits > 0,
-        "the warm search never forked a captured snapshot"
-    );
-    let snap_speedup = parallel.wall_seconds / snapshot.wall_seconds;
-    println!(
-        "snapshot ({threads} thread(s), warm forks): cold: {:.3} s   warm: {:.3} s   \
-         events: {}   capacity: {} terminals   {} captures / {} forks \
-         ({} base-prefix events saved)   speedup vs parallel section: {snap_speedup:.2}x",
-        snapshot.cold_wall_seconds,
-        snapshot.wall_seconds,
-        snapshot.events_processed,
-        snapshot.capacity,
-        snap_journal.snapshot_captures,
-        snap_journal.snapshot_hits,
-        snap_journal.snapshot_saved_events,
-    );
-
     let scale = measure_scale();
     for c in &scale {
-        let speedup = c.heap_wall_seconds / c.bucket_wall_seconds;
         println!(
-            "scale ({} terminals): events: {}   heap: {:.3} s ({:.0} events/s)   \
-             bucket: {:.3} s ({:.0} events/s)   bucket speedup: {speedup:.2}x",
+            "scale ({} terminals): events: {}   wall: {:.3} s ({:.0} events/s)",
             c.terminals,
             c.events_processed,
-            c.heap_wall_seconds,
-            c.events_processed as f64 / c.heap_wall_seconds,
-            c.bucket_wall_seconds,
-            c.events_processed as f64 / c.bucket_wall_seconds,
+            c.wall_seconds,
+            c.events_processed as f64 / c.wall_seconds,
         );
     }
 
@@ -679,38 +589,15 @@ fn main() {
         speculative.capacity,
         f64_fixed(spec_speedup, 4)
     ));
-    json.push_str(&format!(
-        "  \"snapshot\": {{\n    \"threads\": {threads},\n    \
-         \"cold_wall_seconds\": {},\n    \"wall_seconds\": {},\n    \
-         \"events_processed\": {},\n    \"capacity_terminals\": {},\n    \
-         \"speedup_vs_parallel\": {},\n    \
-         \"snapshot_captures\": {},\n    \"snapshot_hits\": {},\n    \
-         \"forked_terminals\": {},\n    \"snapshot_saved_events\": {},\n    \
-         \"counted_matches_sequential\": true\n  }},\n",
-        f64_fixed(snapshot.cold_wall_seconds, 4),
-        f64_fixed(snapshot.wall_seconds, 4),
-        snapshot.events_processed,
-        snapshot.capacity,
-        f64_fixed(snap_speedup, 4),
-        snap_journal.snapshot_captures,
-        snap_journal.snapshot_hits,
-        snap_journal.forked_terminals,
-        snap_journal.snapshot_saved_events,
-    ));
-    json.push_str("  \"scale\": {\n    \"kernels_agree\": true,\n    \"sizes\": [\n");
+    json.push_str("  \"scale\": {\n    \"sizes\": [\n");
     for (i, c) in scale.iter().enumerate() {
         json.push_str(&format!(
             "      {{\n        \"terminals\": {},\n        \"events_processed\": {},\n        \
-             \"heap_wall_seconds\": {},\n        \"heap_events_per_sec\": {},\n        \
-             \"bucket_wall_seconds\": {},\n        \"bucket_events_per_sec\": {},\n        \
-             \"bucket_speedup\": {}\n      }}{}\n",
+             \"wall_seconds\": {},\n        \"events_per_sec\": {}\n      }}{}\n",
             c.terminals,
             c.events_processed,
-            f64_fixed(c.heap_wall_seconds, 4),
-            f64_fixed(c.events_processed as f64 / c.heap_wall_seconds, 1),
-            f64_fixed(c.bucket_wall_seconds, 4),
-            f64_fixed(c.events_processed as f64 / c.bucket_wall_seconds, 1),
-            f64_fixed(c.heap_wall_seconds / c.bucket_wall_seconds, 4),
+            f64_fixed(c.wall_seconds, 4),
+            f64_fixed(c.events_processed as f64 / c.wall_seconds, 1),
             if i + 1 == scale.len() { "" } else { "," }
         ));
     }

@@ -4,11 +4,10 @@
 //! server (128 nodes × 4 disks, 32 terminals per node at the curve's low
 //! end) through the experiment engine, printing only deterministic facts:
 //! glitch counts, event counts, capacities. CI invokes this binary under
-//! different engine shapes (`SPIFFI_THREADS=1` vs `8`, `SPIFFI_SNAPSHOT`
-//! modes) and event kernels (`SPIFFI_CAL_KERNEL=heap` vs the default
-//! bucket queue) and diffs the outputs byte-for-byte — the
-//! million-terminal scaling path gets the same determinism contract as
-//! the small configs in `examples/capacity_planning.rs`.
+//! different engine shapes (`SPIFFI_THREADS=1` vs `8`) and diffs the
+//! outputs byte-for-byte — the large-population scaling path gets the
+//! same determinism contract as the small configs in
+//! `examples/capacity_planning.rs`.
 //!
 //! The one line that legitimately varies with engine shape is prefixed
 //! `experiment engine:` so the harness can filter it, mirroring the

@@ -48,8 +48,8 @@
 //! recorder's dispatch tally must equal `events_processed`.
 
 use spiffi_core::{
-    CapacitySearch, Engine, FaultPlan, GlitchForensics, PhaseKind, Sampler, SystemConfig,
-    TraceRecorder, VodSystem,
+    CapacitySearch, Engine, FaultPlan, GlitchForensics, Sampler, SystemConfig, TraceRecorder,
+    VodSystem,
 };
 use spiffi_mpeg::AccessPattern;
 use spiffi_simcore::{SimDuration, SimTime};
@@ -365,35 +365,6 @@ fn main() {
         journal.cache_hits(),
         journal.total_wall_nanos() as f64 / 1e6,
         journal.speculative_events,
-    );
-    println!(
-        "journal: snapshots ({:?}): {} captured, {} warm forks, {} marginal terminals forked, \
-         {} base-prefix events saved",
-        engine.snapshot_mode(),
-        journal.snapshot_captures,
-        journal.snapshot_hits,
-        journal.forked_terminals,
-        journal.snapshot_saved_events,
-    );
-
-    // Per-phase wall-time breakdown: where the search actually spent its
-    // wall clock.
-    let phase_total: u64 = journal.phase_wall_nanos.iter().sum();
-    let phases = PhaseKind::ALL
-        .iter()
-        .map(|p| {
-            format!(
-                "{} {:.1} ms",
-                p.name(),
-                journal.phase_wall_nanos[p.index()] as f64 / 1e6
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(", ");
-    println!(
-        "journal: phase walls: {} (phase total {:.1} ms)",
-        phases,
-        phase_total as f64 / 1e6
     );
     std::fs::write("TRACE_journal.json", journal.to_json()).expect("write TRACE_journal.json");
 

@@ -157,8 +157,8 @@ impl Harness {
     /// would).
     ///
     /// The closure receives a harness whose *single-threaded* engine is a
-    /// [`Engine::sibling`] of this one: same library, probe and snapshot
-    /// caches, same snapshot mode, same journal. The parallelism budget is
+    /// [`Engine::sibling`] of this one: same library and probe caches,
+    /// same journal. The parallelism budget is
     /// spent across grid points here, not nested inside each point's
     /// searches, while capacity probes already resolved by earlier
     /// searches (or another grid point over the same configuration) replay
@@ -243,7 +243,6 @@ pub fn mb(bytes: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spiffi_core::SnapshotMode;
 
     #[test]
     fn presets_scale_sensibly() {
@@ -293,12 +292,13 @@ mod tests {
     }
 
     #[test]
-    fn sweep_runs_points_in_the_harness_snapshot_mode() {
-        // Regression: the sweep's inner engine used to drop the snapshot
-        // mode, so `SPIFFI_SNAPSHOT=1` never reached a figure's searches.
+    fn sweep_runs_points_on_the_harness_probe_cache_and_journal() {
+        // Every grid point's search must land in the harness engine's
+        // probe cache and journal, so a repeated sweep replays instead of
+        // re-simulating and the journal accounts for every point.
         let h = Harness {
             preset: Preset::Fast,
-            engine: Engine::with_threads(2).with_snapshot_mode(SnapshotMode::Warm),
+            engine: Engine::with_threads(2),
         };
         let mut cfg = SystemConfig::small_test();
         cfg.topology = spiffi_layout::Topology {
@@ -311,20 +311,29 @@ mod tests {
             step: 2,
             replications: 1,
         };
-        let caps = h.sweep(vec![16u64, 32], |inner, &mem_mb| {
-            assert_eq!(inner.engine().snapshot_mode(), SnapshotMode::Warm);
-            let mut c = cfg.clone();
-            c.server_memory_bytes = mem_mb * 1024 * 1024;
-            inner
-                .engine()
-                .max_glitch_free_terminals(&c, &search)
-                .max_terminals
-        });
+        let sweep = || {
+            h.sweep(vec![16u64, 32], |inner, &mem_mb| {
+                assert_eq!(inner.engine().threads(), 1);
+                let mut c = cfg.clone();
+                c.server_memory_bytes = mem_mb * 1024 * 1024;
+                inner
+                    .engine()
+                    .max_glitch_free_terminals(&c, &search)
+                    .max_terminals
+            })
+        };
+        let caps = sweep();
         assert_eq!(caps.len(), 2);
-        assert!(
-            h.engine().snapshot_cache().captures() >= 1,
-            "no warm snapshot was captured"
+        let cached = h.engine().probe_cache().len();
+        assert!(cached > 0, "no probe outcome reached the harness cache");
+        assert_eq!(h.engine().journal().snapshot().searches, 2);
+        assert_eq!(sweep(), caps, "a repeated sweep changed its answers");
+        assert_eq!(
+            h.engine().probe_cache().len(),
+            cached,
+            "a repeated sweep must replay, not re-simulate"
         );
+        assert_eq!(h.engine().journal().snapshot().searches, 4);
     }
 }
 

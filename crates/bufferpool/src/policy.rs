@@ -24,7 +24,7 @@ pub trait ReplacementPolicy: Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Deep-copy this policy, LRU chains included, behind a fresh box.
-    /// Lets the pool implement `Clone` for snapshot/fork.
+    /// Lets the pool implement `Clone`.
     fn clone_box(&self) -> Box<dyn ReplacementPolicy>;
 }
 

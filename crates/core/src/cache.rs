@@ -11,11 +11,11 @@
 //! cheap [`Arc`] clones.
 //!
 //! The cache is `Sync`: the parallel experiment engine's workers
-//! ([`Engine`](crate::Engine)) share one cache. Like the
-//! [`SnapshotCache`], it is built on `OnceMemo`, a keyed once-cell: the
-//! first requester of a key generates it while concurrent requesters of
-//! the same key block on that one generation, so every key is built
-//! exactly once and every requester receives the same [`Arc`].
+//! ([`Engine`](crate::Engine)) share one cache. It is built on
+//! `OnceMemo`, a keyed once-cell: the first requester of a key generates
+//! it while concurrent requesters of the same key block on that one
+//! generation, so every key is built exactly once and every requester
+//! receives the same [`Arc`].
 //!
 //! [`ProbeCache`] applies the same idea one level up: a capacity search
 //! probes the same `(terminal count, replication)` pairs over and over —
@@ -70,9 +70,8 @@ impl<K, V> std::fmt::Debug for OnceMemo<K, V> {
 
 impl<K: Eq + Hash, V: Clone> OnceMemo<K, V> {
     /// The value for `key`, built with `build` if no caller has built it
-    /// yet. Returns the value and whether it was served without building
-    /// on this call's behalf (`true` = hit).
-    pub(crate) fn get_or_build(&self, key: K, build: impl FnOnce() -> V) -> (V, bool) {
+    /// yet.
+    pub(crate) fn get_or_build(&self, key: K, build: impl FnOnce() -> V) -> V {
         let cell = Arc::clone(self.map.lock().unwrap().entry(key).or_default());
         let mut hit = true;
         let value = cell
@@ -83,7 +82,7 @@ impl<K: Eq + Hash, V: Clone> OnceMemo<K, V> {
             .clone();
         let counter = if hit { &self.hits } else { &self.misses };
         counter.fetch_add(1, Ordering::Relaxed);
-        (value, hit)
+        value
     }
 
     /// Distinct keys requested so far.
@@ -159,11 +158,9 @@ impl LibraryCache {
     /// afterwards. Concurrent first requests for one library generate it
     /// once; the others wait and share it.
     pub fn get(&self, cfg: &SystemConfig) -> Arc<Library> {
-        self.memo
-            .get_or_build(LibraryKey::of(cfg), || {
-                Arc::new(VodSystem::generate_library(cfg))
-            })
-            .0
+        self.memo.get_or_build(LibraryKey::of(cfg), || {
+            Arc::new(VodSystem::generate_library(cfg))
+        })
     }
 
     /// Distinct libraries currently cached.
@@ -243,19 +240,6 @@ impl ProbeCache {
         Arc::from(format!("{c:?}"))
     }
 
-    /// [`ProbeCache::fingerprint`] for marginal-timing probes: the base
-    /// terminal count is part of a probe's identity under
-    /// [`VodSystem::with_library_marginal`] semantics (it decides which
-    /// terminals join late), so it is prefixed onto the fingerprint.
-    /// Marginal outcomes therefore never mix with standard-timing outcomes
-    /// for the same configuration, even before the warm-up transform is
-    /// taken into account.
-    pub fn fingerprint_with_base(cfg: &SystemConfig, base: u32) -> Arc<str> {
-        let mut c = cfg.clone();
-        c.n_terminals = 0;
-        Arc::from(format!("base={base}|{c:?}"))
-    }
-
     /// The cached outcome for replication `r` of a probe at `n` terminals,
     /// if a clean run has been recorded.
     pub fn get(&self, fp: &Arc<str>, n: u32, r: u32) -> Option<ProbeOutcome> {
@@ -295,67 +279,6 @@ impl ProbeCache {
     /// Lookups that found nothing.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
-    }
-}
-
-/// Cache key: `(marginal fingerprint, base terminal count, replication)`.
-type SnapshotKey = (Arc<str>, u32, u32);
-
-/// A search-wide, thread-safe cache of warm simulation snapshots: one
-/// [`VodSystem`] per `(marginal fingerprint, base count, replication)`,
-/// captured at the snapshot boundary by replaying the shared base warm-up
-/// once. Probing `n > base` terminals then costs one
-/// [`VodSystem::fork_to`] (a deep clone plus Δterminals join events) and
-/// the measurement window — O(Δterminals) instead of re-simulating the
-/// whole warm-up.
-///
-/// A capture replays a full warm-up, so concurrent requesters of one key
-/// block on the single capturing thread (`OnceMemo`) instead of burning
-/// a core each on identical replays.
-#[derive(Debug, Default)]
-pub struct SnapshotCache {
-    memo: OnceMemo<SnapshotKey, Arc<VodSystem>>,
-}
-
-impl SnapshotCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        SnapshotCache::default()
-    }
-
-    /// The snapshot for replication `r` of the `base`-terminal warm-up,
-    /// capturing it via `build` on first request. Returns the shared
-    /// snapshot and whether it was served warm (`true` = no replay ran on
-    /// this call's behalf).
-    pub fn get_or_capture(
-        &self,
-        fp: &Arc<str>,
-        base: u32,
-        r: u32,
-        build: impl FnOnce() -> VodSystem,
-    ) -> (Arc<VodSystem>, bool) {
-        self.memo
-            .get_or_build((Arc::clone(fp), base, r), || Arc::new(build()))
-    }
-
-    /// Distinct snapshots captured and held.
-    pub fn len(&self) -> usize {
-        self.memo.len()
-    }
-
-    /// True when nothing has been captured yet.
-    pub fn is_empty(&self) -> bool {
-        self.memo.is_empty()
-    }
-
-    /// Requests served from an already-captured snapshot.
-    pub fn hits(&self) -> u64 {
-        self.memo.hits()
-    }
-
-    /// Warm-up replays actually performed.
-    pub fn captures(&self) -> u64 {
-        self.memo.misses()
     }
 }
 
@@ -472,44 +395,6 @@ mod tests {
         assert_ne!(
             ProbeCache::fingerprint(&cfg),
             ProbeCache::fingerprint(&other_mem)
-        );
-    }
-
-    #[test]
-    fn snapshot_cache_captures_once_then_serves_warm() {
-        let cache = SnapshotCache::new();
-        let mut cfg = SystemConfig::small_test();
-        cfg.n_terminals = 2;
-        let fp = ProbeCache::fingerprint_with_base(&cfg, 2);
-        let lib = Arc::new(VodSystem::generate_library(&cfg));
-        let capture = |cfg: &SystemConfig| {
-            let mut sys = VodSystem::with_library_marginal(cfg.clone(), Arc::clone(&lib), 2);
-            sys.replay_to_snapshot();
-            sys
-        };
-        let (a, warm_a) = cache.get_or_capture(&fp, 2, 0, || capture(&cfg));
-        assert!(!warm_a, "first request must capture");
-        let (b, warm_b) = cache.get_or_capture(&fp, 2, 0, || capture(&cfg));
-        assert!(warm_b, "second request must be served warm");
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!((cache.captures(), cache.hits(), cache.len()), (1, 1, 1));
-        // A different replication captures separately.
-        let (_, warm_c) = cache.get_or_capture(&fp, 2, 1, || capture(&cfg));
-        assert!(!warm_c);
-        assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn marginal_fingerprint_is_disjoint_from_standard() {
-        let cfg = SystemConfig::small_test();
-        assert_ne!(
-            ProbeCache::fingerprint(&cfg),
-            ProbeCache::fingerprint_with_base(&cfg, 10)
-        );
-        assert_ne!(
-            ProbeCache::fingerprint_with_base(&cfg, 10),
-            ProbeCache::fingerprint_with_base(&cfg, 20),
-            "the base count is part of a marginal probe's identity"
         );
     }
 

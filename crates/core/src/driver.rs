@@ -53,12 +53,11 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 
-use crate::cache::{LibraryCache, ProbeCache, ProbeOutcome, SnapshotCache};
+use crate::cache::{LibraryCache, ProbeCache, ProbeOutcome};
 use crate::config::SystemConfig;
-use crate::journal::{PhaseKind, ProbeRun, RunJournal};
+use crate::journal::{ProbeRun, RunJournal};
 use crate::metrics::RunReport;
 use crate::system::VodSystem;
-use spiffi_simcore::SimDuration;
 
 /// Run one configuration to completion.
 pub fn run_once(cfg: &SystemConfig) -> RunReport {
@@ -81,7 +80,7 @@ pub fn replication_seed(base: u64, r: u32) -> u64 {
 /// The `SPIFFI_*` environment variables the simulator reads. Any other
 /// name under the prefix is rejected by [`Engine::new`]: a misspelt or
 /// retired knob must not be silently ignored.
-pub(crate) const ENV_KNOBS: [&str; 3] = ["SPIFFI_THREADS", "SPIFFI_SNAPSHOT", "SPIFFI_CAL_KERNEL"];
+pub(crate) const ENV_KNOBS: [&str; 1] = ["SPIFFI_THREADS"];
 
 /// The first name in `names` that carries the `SPIFFI_` prefix but is not
 /// one of the [`ENV_KNOBS`], if any.
@@ -131,7 +130,7 @@ pub(crate) fn parse_threads(v: Option<&str>) -> Result<Option<usize>, String> {
 /// environment variable when set (`1` = the sequential search, run on the
 /// caller's thread), otherwise the machine's available parallelism. A
 /// value that is not a positive integer is rejected with a diagnostic and
-/// a non-zero exit, like the strict `SPIFFI_SNAPSHOT` parse.
+/// a non-zero exit: a typo must not silently pick another thread count.
 pub fn engine_threads() -> usize {
     let raw = std::env::var("SPIFFI_THREADS").ok();
     match parse_threads(raw.as_deref()) {
@@ -141,71 +140,6 @@ pub fn engine_threads() -> usize {
             .unwrap_or(1),
         Err(bad) => {
             eprintln!("spiffi: bad SPIFFI_THREADS value {bad:?} (expected a positive integer)");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// How capacity probes reuse the shared warm-up across terminal counts.
-///
-/// Under [`SnapshotMode::Off`] every probe replays its full warm-up from
-/// scratch with all terminals joining in `[0, stagger)` — the legacy
-/// timeline. The other two modes switch probes to *marginal* timing
-/// ([`VodSystem::with_library_marginal`]): a base population (the search
-/// bracket's grid floor) warms the server up, the warm-up is extended by
-/// one stagger, and the terminals a probe adds beyond the base join during
-/// that final stagger window, immediately before measurement. The two
-/// marginal modes are byte-identical to each other by construction;
-/// [`SnapshotMode::Warm`] merely stops re-simulating the shared prefix.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SnapshotMode {
-    /// Legacy timing; no snapshot reuse.
-    #[default]
-    Off,
-    /// Marginal timing, every probe simulated from scratch. The reference
-    /// the warm path is validated against; rarely useful on its own.
-    Cold,
-    /// Marginal timing with per-replication warm snapshots: the base
-    /// warm-up is replayed once per replication seed, captured at the
-    /// snapshot boundary, and each probe above the base forks from it —
-    /// O(Δterminals) per bisection step.
-    Warm,
-}
-
-/// Parse a `SPIFFI_SNAPSHOT` setting: unset, empty, `0` or `off` select
-/// [`SnapshotMode::Off`]; `1` or `warm` [`SnapshotMode::Warm`]; `cold`
-/// [`SnapshotMode::Cold`] (all case-insensitive, whitespace-trimmed).
-/// Anything else is an error carrying the offending text — a typo like
-/// `SPIFFI_SNAPSHOT=wram` must not silently run the legacy timeline.
-pub(crate) fn parse_snapshot_mode(v: Option<&str>) -> Result<SnapshotMode, String> {
-    let t = v.unwrap_or("").trim();
-    if t.is_empty() || t == "0" || t.eq_ignore_ascii_case("off") {
-        Ok(SnapshotMode::Off)
-    } else if t == "1" || t.eq_ignore_ascii_case("warm") {
-        Ok(SnapshotMode::Warm)
-    } else if t.eq_ignore_ascii_case("cold") {
-        Ok(SnapshotMode::Cold)
-    } else {
-        Err(t.to_string())
-    }
-}
-
-/// Snapshot mode from the `SPIFFI_SNAPSHOT` environment variable:
-/// `1`/`warm` selects [`SnapshotMode::Warm`], `cold` the from-scratch
-/// marginal reference, `0`/`off`/unset the legacy [`SnapshotMode::Off`].
-/// Any other value is rejected with a diagnostic and a non-zero exit —
-/// matching the strict `SPIFFI_CAL_KERNEL` parse — because an experiment
-/// silently running the wrong probe timeline is far worse than one that
-/// refuses to start.
-pub fn snapshot_mode_from_env() -> SnapshotMode {
-    let raw = std::env::var("SPIFFI_SNAPSHOT").ok();
-    match parse_snapshot_mode(raw.as_deref()) {
-        Ok(mode) => mode,
-        Err(bad) => {
-            eprintln!(
-                "spiffi: unknown SPIFFI_SNAPSHOT value {bad:?} \
-                 (expected \"0\"/\"off\", \"1\"/\"warm\", or \"cold\")"
-            );
             std::process::exit(2);
         }
     }
@@ -264,8 +198,6 @@ pub struct Engine {
     threads: usize,
     cache: Arc<LibraryCache>,
     probes: Arc<ProbeCache>,
-    snapshots: Arc<SnapshotCache>,
-    snapshot: SnapshotMode,
     journal: Arc<RunJournal>,
 }
 
@@ -276,14 +208,12 @@ impl Default for Engine {
 }
 
 impl Engine {
-    /// An engine with the ambient thread budget ([`engine_threads`]),
-    /// the ambient snapshot mode ([`snapshot_mode_from_env`]) and fresh
-    /// caches. Exits with a diagnostic if the environment sets a
-    /// `SPIFFI_*` variable other than `SPIFFI_THREADS`, `SPIFFI_SNAPSHOT`
-    /// and `SPIFFI_CAL_KERNEL`.
+    /// An engine with the ambient thread budget ([`engine_threads`]) and
+    /// fresh caches. Exits with a diagnostic if the environment sets a
+    /// `SPIFFI_*` variable other than `SPIFFI_THREADS`.
     pub fn new() -> Self {
         reject_unknown_env_knobs();
-        Engine::with_threads(engine_threads()).with_snapshot_mode(snapshot_mode_from_env())
+        Engine::with_threads(engine_threads())
     }
 
     /// An engine with an explicit thread budget (tests of the determinism
@@ -310,33 +240,21 @@ impl Engine {
             threads: threads.max(1),
             cache,
             probes,
-            snapshots: Arc::new(SnapshotCache::new()),
-            snapshot: SnapshotMode::Off,
             journal: Arc::new(RunJournal::new()),
         }
     }
 
     /// An engine with a `threads` budget that shares everything else with
-    /// this one: the library, probe and snapshot caches, the snapshot
-    /// mode, and the run journal. Grid sweeps use it to spend their
-    /// parallelism across grid points while every point still runs on the
-    /// configured engine.
+    /// this one: the library and probe caches and the run journal. Grid
+    /// sweeps use it to spend their parallelism across grid points while
+    /// every point still runs on the configured engine.
     pub fn sibling(&self, threads: usize) -> Self {
         Engine {
             threads: threads.max(1),
             cache: Arc::clone(&self.cache),
             probes: Arc::clone(&self.probes),
-            snapshots: Arc::clone(&self.snapshots),
-            snapshot: self.snapshot,
             journal: Arc::clone(&self.journal),
         }
-    }
-
-    /// Select how capacity probes reuse the shared warm-up (overriding the
-    /// ambient `SPIFFI_SNAPSHOT` setting [`Engine::new`] read).
-    pub fn with_snapshot_mode(mut self, mode: SnapshotMode) -> Self {
-        self.snapshot = mode;
-        self
     }
 
     /// The worker-thread budget.
@@ -352,17 +270,6 @@ impl Engine {
     /// The engine's search-wide probe cache.
     pub fn probe_cache(&self) -> &Arc<ProbeCache> {
         &self.probes
-    }
-
-    /// The engine's warm-snapshot cache (empty unless a search has run in
-    /// [`SnapshotMode::Warm`]).
-    pub fn snapshot_cache(&self) -> &Arc<SnapshotCache> {
-        &self.snapshots
-    }
-
-    /// The snapshot mode capacity searches on this engine will use.
-    pub fn snapshot_mode(&self) -> SnapshotMode {
-        self.snapshot
     }
 
     /// The engine's run journal: wall-clock and cache accounting for every
@@ -407,93 +314,31 @@ impl Engine {
     /// bisection branches are known in advance), so the wall-clock
     /// critical path shrinks while `max_terminals`, `probes` and
     /// `events_processed` stay byte-identical to `SPIFFI_THREADS=1`.
+    ///
+    /// # Panics
+    /// If `search` fails [`CapacitySearch::validate`].
     pub fn max_glitch_free_terminals(
         &self,
         cfg: &SystemConfig,
         search: &CapacitySearch,
     ) -> CapacityResult {
-        assert!(search.step > 0 && search.lo <= search.hi);
-        // Warm forking needs the marginal terminals to join strictly
-        // after the snapshot instant. With a zero stagger they would join
-        // *at* the BeginMeasure tick and tie-break on schedule sequence —
-        // deterministic, but ordered differently from the from-scratch
-        // marginal build. Degrade to Cold (same timing, no reuse) rather
-        // than diverge.
-        let mode = match self.snapshot {
-            SnapshotMode::Warm if cfg.timing.stagger == SimDuration::ZERO => SnapshotMode::Cold,
-            m => m,
-        };
-        let (probe_cfg, base) = match mode {
-            SnapshotMode::Off => (cfg.clone(), None),
-            SnapshotMode::Cold | SnapshotMode::Warm => {
-                // Marginal-probe timing: every probe at count `n` starts
-                // the base population (the bracket's grid floor) over the
-                // legacy stagger window and its `n - base` marginal
-                // terminals over one extra stagger window placed
-                // immediately before measurement; the warm-up is extended
-                // by that window so the base terminals' histories never
-                // depend on `n`. See [`VodSystem::with_library_marginal`].
-                let mut c = cfg.clone();
-                c.timing.warmup += c.timing.stagger;
-                let b = (search.lo / search.step).max(1) * search.step;
-                (c, Some(b))
-            }
-        };
-        let fp = match base {
-            Some(b) => ProbeCache::fingerprint_with_base(&probe_cfg, b),
-            None => ProbeCache::fingerprint(&probe_cfg),
-        };
-        let warm = mode == SnapshotMode::Warm;
-        let result = SpecSearch::new(self, &probe_cfg, search, &fp, base, warm).run();
+        if let Err(e) = search.validate() {
+            panic!("invalid capacity search: {e}");
+        }
+        let fp = ProbeCache::fingerprint(cfg);
+        let result = SpecSearch::new(self, cfg, search, &fp).run();
         self.journal.record_search(result.speculative_events);
         result
     }
 
     /// The assembled system for replication `r` of a probe at `n`
     /// terminals, its library drawn from the cache.
-    ///
-    /// With `base` set the system uses marginal-probe timing
-    /// ([`VodSystem::with_library_marginal`]); with `warm` additionally
-    /// set and terminals to spare beyond the base, the shared base prefix
-    /// is replayed once per `(config, base, replication)`, kept in the
-    /// engine's [`SnapshotCache`], and forked — so every probe after the
-    /// first pays only for its marginal terminals.
-    fn probe_system(
-        &self,
-        cfg: &SystemConfig,
-        fp: &Arc<str>,
-        base: Option<u32>,
-        warm: bool,
-        n: u32,
-        r: u32,
-    ) -> VodSystem {
+    fn probe_system(&self, cfg: &SystemConfig, n: u32, r: u32) -> VodSystem {
         let mut c = cfg.clone();
         c.n_terminals = n;
         c.seed = replication_seed(cfg.seed, r);
         let lib = self.cache.get(&c);
-        let Some(b) = base else {
-            return VodSystem::with_library(c, lib);
-        };
-        if warm && n > b {
-            let (snap, hit) = self.snapshots.get_or_capture(fp, b, r, || {
-                let t0 = std::time::Instant::now();
-                let mut bc = c.clone();
-                bc.n_terminals = b;
-                let mut sys = VodSystem::with_library_marginal(bc, Arc::clone(&lib), b);
-                sys.replay_to_snapshot();
-                self.journal
-                    .record_phase(PhaseKind::Capture, t0.elapsed().as_nanos() as u64);
-                sys
-            });
-            self.journal
-                .record_snapshot(hit, n - b, snap.events_processed());
-            let t0 = std::time::Instant::now();
-            let forked = snap.fork_to(n);
-            self.journal
-                .record_phase(PhaseKind::Fork, t0.elapsed().as_nanos() as u64);
-            return forked;
-        }
-        VodSystem::with_library_marginal(c, lib, b)
+        VodSystem::with_library(c, lib)
     }
 
     /// Estimate capacity with the paper's replication-until-confident rule
@@ -759,10 +604,6 @@ struct SpecSearch<'a> {
     cfg: &'a SystemConfig,
     replications: u32,
     fp: &'a Arc<str>,
-    /// Marginal-probe base count (see [`SnapshotMode`]), `None` when off.
-    base: Option<u32>,
-    /// Serve probes above the base by forking warm snapshots.
-    warm: bool,
     state: Mutex<SpecState>,
     /// Signalled whenever an outcome lands or the search finishes.
     resolved: Condvar,
@@ -784,16 +625,12 @@ impl<'a> SpecSearch<'a> {
         cfg: &'a SystemConfig,
         search: &CapacitySearch,
         fp: &'a Arc<str>,
-        base: Option<u32>,
-        warm: bool,
     ) -> Self {
         SpecSearch {
             engine,
             cfg,
             replications: search.replications,
             fp,
-            base,
-            warm,
             state: Mutex::new(SpecState {
                 cursor: SearchCursor::new(search),
                 probes: Vec::new(),
@@ -863,15 +700,9 @@ impl<'a> SpecSearch<'a> {
                     st.running.insert((n, r));
                     drop(st);
                     let started = std::time::Instant::now();
-                    let system = self
-                        .engine
-                        .probe_system(self.cfg, self.fp, self.base, self.warm, n, r);
-                    let sim_started = std::time::Instant::now();
+                    let system = self.engine.probe_system(self.cfg, n, r);
                     let (report, clean) =
                         system.run_glitch_probe_abortable(&cancel, r, &self.abort);
-                    self.engine
-                        .journal
-                        .record_phase(PhaseKind::Simulate, sim_started.elapsed().as_nanos() as u64);
                     self.engine.journal.record_probe(ProbeRun {
                         terminals: n,
                         replication: r,
@@ -1039,6 +870,27 @@ pub struct CapacitySearch {
     pub replications: u32,
 }
 
+impl CapacitySearch {
+    /// Check the search is well-formed: a positive step, `lo <= hi`, and
+    /// at least one replication per probe. Zero replications would pass
+    /// every probe vacuously and report the upper bracket as capacity.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.step == 0 {
+            return Err("step must be positive".into());
+        }
+        if self.lo > self.hi {
+            return Err(format!(
+                "lower bracket {} exceeds upper bracket {}",
+                self.lo, self.hi
+            ));
+        }
+        if self.replications == 0 {
+            return Err("at least one replication per probe is required".into());
+        }
+        Ok(())
+    }
+}
+
 impl Default for CapacitySearch {
     fn default() -> Self {
         CapacitySearch {
@@ -1155,41 +1007,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_mode_env_values_parse_or_error() {
-        // Accepted spellings, case-insensitive where worded.
-        for off in [
-            None,
-            Some(""),
-            Some("  "),
-            Some("0"),
-            Some("off"),
-            Some("OFF"),
-        ] {
-            assert_eq!(parse_snapshot_mode(off), Ok(SnapshotMode::Off), "{off:?}");
-        }
-        for warm in [Some("1"), Some("warm"), Some(" Warm ")] {
-            assert_eq!(
-                parse_snapshot_mode(warm),
-                Ok(SnapshotMode::Warm),
-                "{warm:?}"
-            );
-        }
-        for cold in [Some("cold"), Some("COLD")] {
-            assert_eq!(
-                parse_snapshot_mode(cold),
-                Ok(SnapshotMode::Cold),
-                "{cold:?}"
-            );
-        }
-        // Regression: unknown values used to map silently to Off, turning
-        // a typo like SPIFFI_SNAPSHOT=2 into a disabled warm path. They
-        // must be rejected (the env reader exits with a diagnostic).
-        for bad in ["2", "warmish", "on", "true"] {
-            assert_eq!(parse_snapshot_mode(Some(bad)), Err(bad.to_string()));
-        }
-    }
-
-    #[test]
     fn thread_env_values_parse_or_error() {
         for unset in [None, Some(""), Some("  ")] {
             assert_eq!(parse_threads(unset), Ok(None), "{unset:?}");
@@ -1205,7 +1022,8 @@ mod tests {
     }
 
     #[test]
-    fn only_the_three_env_knobs_are_accepted() {
+    fn only_the_threads_env_knob_is_accepted() {
+        assert_eq!(ENV_KNOBS, ["SPIFFI_THREADS"]);
         assert_eq!(unknown_env_knob(ENV_KNOBS), None);
         assert_eq!(unknown_env_knob(["PATH", "HOME", "SPIFFI"]), None);
         // Retired knobs and typos under the prefix are named back.
@@ -1215,6 +1033,51 @@ mod tests {
         );
         assert_eq!(unknown_env_knob(["SPIFFI_SNAPHOT"]), Some("SPIFFI_SNAPHOT"));
         assert_eq!(unknown_env_knob(["SPIFFI_threads"]), Some("SPIFFI_threads"));
+        // The retired probe-timeline and event-kernel switches are
+        // unknown now, so setting one fails loudly instead of being
+        // silently ignored.
+        for retired in ["SPIFFI_SNAPSHOT", "SPIFFI_CAL_KERNEL"] {
+            assert_eq!(unknown_env_knob(["SPIFFI_THREADS", retired]), Some(retired));
+        }
+    }
+
+    #[test]
+    fn capacity_search_validation_rejects_malformed_input() {
+        assert_eq!(CapacitySearch::default().validate(), Ok(()));
+        let ok = CapacitySearch {
+            lo: 10,
+            hi: 10,
+            step: 1,
+            replications: 1,
+        };
+        assert_eq!(ok.validate(), Ok(()), "lo == hi is a legal bracket");
+        for bad in [
+            CapacitySearch {
+                step: 0,
+                ..ok.clone()
+            },
+            CapacitySearch {
+                lo: 50,
+                hi: 10,
+                ..ok.clone()
+            },
+            CapacitySearch {
+                replications: 0,
+                ..ok.clone()
+            },
+        ] {
+            assert!(bad.validate().is_err(), "{bad:?} passed validation");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid capacity search")]
+    fn engine_refuses_a_malformed_search() {
+        let search = CapacitySearch {
+            replications: 0,
+            ..CapacitySearch::default()
+        };
+        Engine::with_threads(1).max_glitch_free_terminals(&tiny(), &search);
     }
 
     #[test]

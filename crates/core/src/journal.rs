@@ -18,45 +18,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// A phase of the probe pipeline whose wall-clock cost the journal
-/// accounts separately.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PhaseKind {
-    /// Simulating a base prefix and capturing its warm snapshot.
-    Capture,
-    /// Forking a captured base out to a probe population.
-    Fork,
-    /// Running the simulation proper.
-    Simulate,
-}
-
-/// Number of [`PhaseKind`] variants (the phase-accumulator array size).
-pub const PHASE_COUNT: usize = 3;
-
-impl PhaseKind {
-    /// Stable index into phase accumulator arrays.
-    pub fn index(self) -> usize {
-        match self {
-            PhaseKind::Capture => 0,
-            PhaseKind::Fork => 1,
-            PhaseKind::Simulate => 2,
-        }
-    }
-
-    /// Stable lower-case name, used as the JSON key.
-    pub fn name(self) -> &'static str {
-        match self {
-            PhaseKind::Capture => "capture",
-            PhaseKind::Fork => "fork",
-            PhaseKind::Simulate => "simulate",
-        }
-    }
-
-    /// All phases in index order.
-    pub const ALL: [PhaseKind; PHASE_COUNT] =
-        [PhaseKind::Capture, PhaseKind::Fork, PhaseKind::Simulate];
-}
-
 /// One probe-replication resolution during a capacity search.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ProbeRun {
@@ -85,11 +46,6 @@ pub struct RunJournal {
     probes: Mutex<Vec<ProbeRun>>,
     searches: AtomicU64,
     speculative_events: AtomicU64,
-    snapshot_captures: AtomicU64,
-    snapshot_hits: AtomicU64,
-    forked_terminals: AtomicU64,
-    snapshot_saved_events: AtomicU64,
-    phase_wall_nanos: [AtomicU64; PHASE_COUNT],
     faults_injected: AtomicU64,
 }
 
@@ -112,27 +68,6 @@ impl RunJournal {
             .fetch_add(speculative_events, Ordering::Relaxed);
     }
 
-    /// Record one warm-snapshot consultation: whether the base prefix was
-    /// already captured (`hit`), how many marginal terminals the fork
-    /// added, and how many base-prefix events the fork skipped re-running
-    /// (the events the snapshot replayed once, now reused).
-    pub fn record_snapshot(&self, hit: bool, forked_terminals: u32, prefix_events: u64) {
-        if hit {
-            self.snapshot_hits.fetch_add(1, Ordering::Relaxed);
-            self.snapshot_saved_events
-                .fetch_add(prefix_events, Ordering::Relaxed);
-        } else {
-            self.snapshot_captures.fetch_add(1, Ordering::Relaxed);
-        }
-        self.forked_terminals
-            .fetch_add(forked_terminals as u64, Ordering::Relaxed);
-    }
-
-    /// Add `nanos` of wall-clock time to `phase`'s accumulator.
-    pub fn record_phase(&self, phase: PhaseKind, nanos: u64) {
-        self.phase_wall_nanos[phase.index()].fetch_add(nanos, Ordering::Relaxed);
-    }
-
     /// Record scenario fault actions a run executed (disk deaths, degrade
     /// set/restore pairs, abandonment bursts). Purely observational, like
     /// everything else here — the actions themselves fire inside the
@@ -149,13 +84,6 @@ impl RunJournal {
             probes,
             searches: self.searches.load(Ordering::Relaxed),
             speculative_events: self.speculative_events.load(Ordering::Relaxed),
-            snapshot_captures: self.snapshot_captures.load(Ordering::Relaxed),
-            snapshot_hits: self.snapshot_hits.load(Ordering::Relaxed),
-            forked_terminals: self.forked_terminals.load(Ordering::Relaxed),
-            snapshot_saved_events: self.snapshot_saved_events.load(Ordering::Relaxed),
-            phase_wall_nanos: std::array::from_fn(|i| {
-                self.phase_wall_nanos[i].load(Ordering::Relaxed)
-            }),
             faults_injected: self.faults_injected.load(Ordering::Relaxed),
         }
     }
@@ -171,18 +99,6 @@ pub struct JournalSnapshot {
     /// Speculative events across all searches (see
     /// [`CapacityResult::speculative_events`](crate::CapacityResult)).
     pub speculative_events: u64,
-    /// Warm base snapshots captured (base prefix simulated and kept).
-    pub snapshot_captures: u64,
-    /// Probe systems served by forking an already-captured snapshot.
-    pub snapshot_hits: u64,
-    /// Marginal terminals added across all snapshot forks (captures and
-    /// hits alike).
-    pub forked_terminals: u64,
-    /// Base-prefix events that snapshot hits did not have to re-simulate.
-    pub snapshot_saved_events: u64,
-    /// Wall-clock nanoseconds per pipeline phase, indexed by
-    /// [`PhaseKind::index`].
-    pub phase_wall_nanos: [u64; PHASE_COUNT],
     /// Scenario fault actions executed across recorded runs.
     pub faults_injected: u64,
 }
@@ -212,34 +128,13 @@ impl JournalSnapshot {
             out,
             "{{\n  \"searches\": {},\n  \"speculative_events\": {},\n  \
              \"probe_runs\": {},\n  \"cache_hits\": {},\n  \"simulated\": {},\n  \
-             \"snapshot_captures\": {},\n  \"snapshot_hits\": {},\n  \
-             \"forked_terminals\": {},\n  \"snapshot_saved_events\": {},\n  \
-             \"faults_injected\": {},\n  \"phase_wall_ms\": {{",
+             \"faults_injected\": {},\n  \"total_wall_ms\": {:.3},\n  \"probes\": [",
             self.searches,
             self.speculative_events,
             self.probes.len(),
             self.cache_hits(),
             self.simulated(),
-            self.snapshot_captures,
-            self.snapshot_hits,
-            self.forked_terminals,
-            self.snapshot_saved_events,
             self.faults_injected,
-        );
-        for (i, phase) in PhaseKind::ALL.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\"{}\": ", phase.name());
-            spiffi_trace::json::push_f64(
-                &mut out,
-                self.phase_wall_nanos[phase.index()] as f64 / 1e6,
-                3,
-            );
-        }
-        let _ = write!(
-            out,
-            "}},\n  \"total_wall_ms\": {:.3},\n  \"probes\": [",
             self.total_wall_nanos() as f64 / 1e6,
         );
         for (i, p) in self.probes.iter().enumerate() {
@@ -309,24 +204,13 @@ mod tests {
         let j = RunJournal::new();
         j.record_probe(run(4, 0, false));
         j.record_search(7);
-        j.record_snapshot(false, 4, 0);
-        j.record_snapshot(true, 8, 1_000);
-        j.record_phase(PhaseKind::Capture, 2_000_000);
-        j.record_phase(PhaseKind::Simulate, 3_000_000);
-        j.record_phase(PhaseKind::Simulate, 500_000);
         j.record_faults(4);
         let text = j.snapshot().to_json();
         assert!(text.contains("\"searches\": 1"));
         assert!(text.contains("\"speculative_events\": 7"));
-        assert!(text.contains("\"snapshot_captures\": 1"));
-        assert!(text.contains("\"snapshot_hits\": 1"));
-        assert!(text.contains("\"forked_terminals\": 12"));
-        assert!(text.contains("\"snapshot_saved_events\": 1000"));
         assert!(text.contains("\"terminals\": 4"));
         assert!(text.contains("\"wall_ms\": 1.500"));
-        assert!(text.contains("\"capture\": 2.000"));
-        assert!(text.contains("\"simulate\": 3.500"));
-        assert!(text.contains("\"fork\": 0.000"));
+        assert!(text.contains("\"total_wall_ms\": 1.500"));
         assert!(text.contains("\"faults_injected\": 4"));
         for (open, close) in [('{', '}'), ('[', ']')] {
             assert_eq!(text.matches(open).count(), text.matches(close).count());

@@ -33,18 +33,17 @@ pub mod system;
 pub mod terminal;
 
 pub use bitset::TermBitset;
-pub use cache::{LibraryCache, LibraryKey, ProbeCache, ProbeOutcome, SnapshotCache};
+pub use cache::{LibraryCache, LibraryKey, ProbeCache, ProbeOutcome};
 pub use config::{default_prefetch_for, PauseConfig, RunTiming, SystemConfig, KB, MB};
 pub use driver::{
     capacity_with_confidence, engine_threads, fan_out, max_glitch_free_terminals, replication_seed,
-    run_once, run_replications, snapshot_mode_from_env, CapacityResult, CapacitySearch,
-    ConfidentCapacity, ConfidentCapacityResult, Engine, SnapshotMode,
+    run_once, run_replications, CapacityResult, CapacitySearch, ConfidentCapacity,
+    ConfidentCapacityResult, Engine,
 };
-pub use journal::{JournalSnapshot, PhaseKind, ProbeRun, RunJournal, PHASE_COUNT};
+pub use journal::{JournalSnapshot, ProbeRun, RunJournal};
 pub use metrics::RunReport;
 pub use piggyback::{Piggyback, StartDecision};
 pub use scenario::{BitrateMix, FaultPlan, FaultSpec, PlanError, Scenario, Thresholds, Verdict};
-pub use spiffi_simcore::KernelKind;
 // The observability layer, re-exported so instrumented callers need only
 // depend on `spiffi-core`.
 pub use spiffi_trace::{

@@ -64,7 +64,7 @@ struct SearchState {
 
 /// One entry of the fault-scenario action table. The table is a pure
 /// function of `cfg.scenario` — a degrade window expands to a set/restore
-/// pair — so forks share it by value; pending [`Event::FaultFire`] events
+/// pair — so clones share it by value; pending [`Event::FaultFire`] events
 /// index into it.
 #[derive(Clone, Copy, Debug)]
 enum FaultAction {
@@ -234,7 +234,7 @@ pub enum Event {
     },
     /// Execute action `idx` of the fault-scenario action table (built
     /// deterministically from `cfg.scenario`, so the index alone
-    /// identifies the perturbation in a forked system too).
+    /// identifies the perturbation in a cloned system too).
     FaultFire(u32),
 }
 
@@ -270,43 +270,12 @@ fn event_kind(ev: &Event) -> &'static str {
     }
 }
 
-/// Parse a `SPIFFI_CAL_KERNEL` value: `heap` picks the reference binary
-/// heap, `bucket` (or unset/empty) the default bucket queue. Any other
-/// value is an error — a typo like `hep` silently falling back to the
-/// bucket kernel would invalidate a determinism diff without a trace.
-pub(crate) fn parse_kernel_env(v: Option<&str>) -> Result<spiffi_simcore::KernelKind, String> {
-    match v {
-        None => Ok(spiffi_simcore::KernelKind::Bucket),
-        Some(s) if s.is_empty() || s.eq_ignore_ascii_case("bucket") => {
-            Ok(spiffi_simcore::KernelKind::Bucket)
-        }
-        Some(s) if s.eq_ignore_ascii_case("heap") => Ok(spiffi_simcore::KernelKind::Heap),
-        Some(s) => Err(s.to_string()),
-    }
-}
-
-/// The calendar kernel selected by `SPIFFI_CAL_KERNEL`. Both kernels pop
-/// the identical `(time, seq)` order, so this knob trades only wall-clock
-/// speed, never results — which is what lets CI diff the two kernels'
-/// reports byte-for-byte. An unknown value aborts with a clear message
-/// instead of silently running the default kernel.
-fn kernel_from_env() -> spiffi_simcore::KernelKind {
-    match parse_kernel_env(std::env::var("SPIFFI_CAL_KERNEL").ok().as_deref()) {
-        Ok(kind) => kind,
-        Err(bad) => {
-            eprintln!(
-                "spiffi: unknown SPIFFI_CAL_KERNEL value {bad:?} (expected \"bucket\" or \"heap\")"
-            );
-            std::process::exit(2);
-        }
-    }
-}
-
-/// The instant the late joiners' stagger window opens: `warmup - stagger`,
+/// The [`VodSystem::replay_to_snapshot`] boundary `warmup - stagger`: the
+/// instant the last stagger-width window before measurement opens,
 /// clamped to time zero. [`SystemConfig::validate`] rejects
-/// `stagger > warmup`, but the boundary itself must degrade to a cold
-/// snapshot (boundary at time zero) rather than underflow if that guard is
-/// ever bypassed — the same graceful degradation `stagger == 0` gets.
+/// `stagger > warmup`, but the boundary itself must degrade to time zero
+/// rather than underflow if that guard is ever bypassed — the same
+/// graceful degradation `stagger == 0` gets.
 fn late_join_open(timing: &RunTiming) -> SimTime {
     SimTime::ZERO + timing.warmup.saturating_sub(timing.stagger)
 }
@@ -336,8 +305,8 @@ fn cpu_job_kind(job: &CpuJob) -> CpuJobKind {
 /// event calendar, every node's disk queues and buffer pool, the terminal
 /// vector, the piggyback manager and all RNG streams — except the video
 /// library, which is immutable and stays shared behind its `Arc`. A clone
-/// and its original evolve independently and deterministically, which is
-/// what makes warm snapshots ([`VodSystem::fork_to`]) possible.
+/// and its original evolve independently and deterministically: running
+/// both produces equal reports.
 #[derive(Clone)]
 pub struct VodSystem<P: Probe = NoopProbe> {
     cfg: SystemConfig,
@@ -372,8 +341,8 @@ pub struct VodSystem<P: Probe = NoopProbe> {
     deadline_misses: u64,
     /// Fault-scenario action table (see [`FaultAction`]); config-derived.
     fault_actions: Vec<FaultAction>,
-    /// Fault actions executed so far (a forked system must agree with its
-    /// parent on which faults already fired).
+    /// Fault actions executed so far (a clone must agree with its
+    /// original on which faults already fired).
     faults_fired: u64,
     // --- recycled event-loop buffers (allocation-free steady state) ---
     /// Request buffer handed to [`Terminal::pump_reusing`] each wake.
@@ -438,30 +407,6 @@ impl VodSystem {
     pub fn with_library(cfg: SystemConfig, library: impl Into<std::sync::Arc<Library>>) -> Self {
         Self::with_probe(cfg, library, NoopProbe)
     }
-
-    /// Build the system with *marginal-probe* timing: terminals `0..base`
-    /// join staggered over `[0, stagger)` as usual, while terminals
-    /// `base..n_terminals` join staggered over `[warmup - stagger, warmup)`
-    /// — the last stagger-width slice of the warm-up, immediately before
-    /// `BeginMeasure`. With `base >= n_terminals` every terminal is
-    /// base-style and only the (shared) timeline differs from
-    /// [`VodSystem::with_library`] by nothing at all.
-    ///
-    /// This is the from-scratch twin of the snapshot/fork path: running a
-    /// system built here to completion produces the same report as
-    /// building at `base` terminals, [`VodSystem::replay_to_snapshot`],
-    /// then [`VodSystem::fork_to`]`(n_terminals)` — the capacity engine
-    /// uses that equivalence to make a bisection step cost O(Δterminals).
-    ///
-    /// # Panics
-    /// If the configuration fails [`SystemConfig::validate`].
-    pub fn with_library_marginal(
-        cfg: SystemConfig,
-        library: impl Into<std::sync::Arc<Library>>,
-        base: u32,
-    ) -> Self {
-        Self::build(cfg, library.into(), NoopProbe, Some(base))
-    }
 }
 
 impl<P: Probe> VodSystem<P> {
@@ -477,14 +422,14 @@ impl<P: Probe> VodSystem<P> {
         library: impl Into<std::sync::Arc<Library>>,
         probe: P,
     ) -> Self {
-        Self::build(cfg, library.into(), probe, None)
+        Self::build(cfg, library.into(), probe)
     }
 
     /// Swap this system's probe for `probe`, moving every other field
     /// unchanged. Observation-only by construction: the simulation state
     /// is untouched, so the run ahead is bit-identical to running under
     /// the old probe. This is how a caller attaches a probe to a system it
-    /// built or forked under the default [`NoopProbe`].
+    /// built or cloned under the default [`NoopProbe`].
     pub fn attach_probe<Q: Probe>(self, probe: Q) -> VodSystem<Q> {
         VodSystem {
             cfg: self.cfg,
@@ -515,15 +460,8 @@ impl<P: Probe> VodSystem<P> {
         }
     }
 
-    /// Shared constructor. `base = Some(b)` selects marginal-probe timing
-    /// (see [`VodSystem::with_library_marginal`]); `None` is the standard
-    /// timeline where every terminal joins in `[0, stagger)`.
-    fn build(
-        cfg: SystemConfig,
-        library: std::sync::Arc<Library>,
-        probe: P,
-        base: Option<u32>,
-    ) -> Self {
+    /// Shared constructor: every terminal joins in `[0, stagger)`.
+    fn build(cfg: SystemConfig, library: std::sync::Arc<Library>, probe: P) -> Self {
         if let Err(e) = cfg.validate() {
             panic!("invalid configuration: {e}");
         }
@@ -567,37 +505,26 @@ impl<P: Probe> VodSystem<P> {
         let selector = TitleSelector::new(cfg.access, cfg.n_videos);
 
         // Steady state holds a few pending events per terminal (wake,
-        // in-flight I/O, prefetch); pre-size the kernel to skip its early
-        // growth reallocations. `SPIFFI_CAL_KERNEL=heap` selects the
-        // reference binary-heap kernel (benchmarks, determinism diffs);
-        // pop order — and therefore every report — is byte-identical
-        // either way.
-        let mut cal =
-            Calendar::with_capacity_and_kernel(8 * cfg.n_terminals as usize, kernel_from_env());
+        // in-flight I/O, prefetch); pre-size the calendar to skip its
+        // early growth reallocations.
+        let mut cal = Calendar::with_capacity(8 * cfg.n_terminals as usize);
         // Staggered starts (§6): "the terminals start movies at random
         // intervals." Each terminal's join instant is the first draw of
         // its own RNG stream, so the set of other terminals never shifts
-        // it. Under marginal timing, terminals at or above `base` join in
-        // the last stagger-width slice of the warm-up instead — after the
-        // snapshot point a warm fork resumes from.
+        // it.
         let mut term_rngs: Vec<SimRng> = (0..cfg.n_terminals)
             .map(|t| SimRng::stream(cfg.seed, TERMINAL_STREAM_BASE + t as u64))
             .collect();
-        let late_join = late_join_open(&cfg.timing);
-        for t in 0..cfg.n_terminals {
-            let rng = &mut term_rngs[t as usize];
-            let at = match base {
-                Some(b) if t >= b => uniform_time(rng, late_join, late_join + cfg.timing.stagger),
-                _ => uniform_time(rng, SimTime::ZERO, SimTime::ZERO + cfg.timing.stagger),
-            };
-            cal.schedule_at(at, Event::StartTerminal(t));
+        for (t, rng) in term_rngs.iter_mut().enumerate() {
+            let at = uniform_time(rng, SimTime::ZERO, SimTime::ZERO + cfg.timing.stagger);
+            cal.schedule_at(at, Event::StartTerminal(t as u32));
         }
         cal.schedule_at(SimTime::ZERO + cfg.timing.warmup, Event::BeginMeasure);
 
         // Fault perturbations fire as ordinary calendar events, so they
         // interleave with the workload in deterministic event order at
         // any thread count, and pending firings are carried by the
-        // calendar into every fork.
+        // calendar into every clone.
         let fault_actions = fault_actions_of(&cfg);
         for (idx, (at, _)) in fault_schedule_of(&cfg).iter().enumerate() {
             cal.schedule_at(SimTime::ZERO + *at, Event::FaultFire(idx as u32));
@@ -756,7 +683,7 @@ impl<P: Probe> VodSystem<P> {
         (self.collect_report(end), true, self.probe)
     }
 
-    /// Events processed so far (monotone; carried into clones and forks).
+    /// Events processed so far (monotone; carried into clones).
     pub fn events_processed(&self) -> u64 {
         self.events_processed
     }
@@ -773,91 +700,31 @@ impl<P: Probe> VodSystem<P> {
     }
 
     /// Events ever scheduled on the calendar (processed + pending +
-    /// truncated; monotone, kernel-independent — the counted-work gates
-    /// rely on this surviving kernel swaps unchanged).
+    /// truncated; monotone).
     pub fn scheduled_events_total(&self) -> u64 {
         self.cal.scheduled_total()
     }
 
-    /// The calendar kernel this system runs on.
-    pub fn calendar_kernel(&self) -> spiffi_simcore::KernelKind {
-        self.cal.kernel_kind()
-    }
-
-    /// Move the pending-event set onto `kind` mid-run. Pop order is
-    /// preserved exactly, so the remainder of the run — and its report —
-    /// is byte-identical to never having switched.
-    pub fn set_calendar_kernel(&mut self, kind: spiffi_simcore::KernelKind) {
-        self.cal.set_kernel(kind);
-    }
-
-    /// The snapshot boundary for marginal timing: the instant the late
-    /// joiners' stagger window opens, one stagger before `BeginMeasure`.
-    fn snapshot_time(&self) -> SimTime {
-        late_join_open(&self.cfg.timing)
-    }
-
-    /// Replay the simulation up to (but excluding) the snapshot boundary
-    /// `warmup - stagger`, leaving the system in the exact state a
-    /// from-scratch marginal run passes through at that instant. Capture a
-    /// snapshot by cloning the system afterwards; extend it with
-    /// [`VodSystem::fork_to`].
-    ///
-    /// Only meaningful on a system built with
-    /// [`VodSystem::with_library_marginal`] (or an equivalent timeline):
-    /// under standard timing the warm-up before the boundary is not
-    /// reusable, because additional terminals would have joined inside it.
+    /// Replay the simulation up to (but excluding) `warmup − stagger`, the
+    /// instant the last stagger-width window before measurement opens.
+    /// The layer benchmark replays here to read the event-queue depth a
+    /// run reaches once its terminals have joined; finishing the run
+    /// afterwards reproduces a run that never stopped.
     pub fn replay_to_snapshot(&mut self) {
-        let s = self.snapshot_time();
+        self.replay_before(late_join_open(&self.cfg.timing));
+    }
+
+    /// Process every event strictly before `at`, then stand the clock on
+    /// `at`.
+    fn replay_before(&mut self, at: SimTime) {
         // pop_before locates the minimum once per event (the peek-compare
-        // result stays memoized inside the kernel when the bound refuses
+        // result stays memoized inside the calendar when the bound refuses
         // it), instead of the peek-then-pop double traversal.
-        while let Some((_, ev)) = self.cal.pop_before(s) {
+        while let Some((_, ev)) = self.cal.pop_before(at) {
             self.events_processed += 1;
             self.dispatch(ev);
         }
-        self.cal.advance_to(s);
-    }
-
-    /// Fork a replayed snapshot out to `n_terminals`: deep-clone the
-    /// simulation state and add the marginal terminals
-    /// `self.n_terminals..n_terminals`, each joining at an instant drawn
-    /// from its own fresh RNG stream, uniformly inside the late-join
-    /// window `[warmup - stagger, warmup)`. Because surviving terminals
-    /// own their RNG streams and the marginal joins land strictly after
-    /// every replayed event, the fork's event history is bit-identical to
-    /// a from-scratch [`VodSystem::with_library_marginal`] run at
-    /// `n_terminals` (up to ties at exact nanoseconds between a marginal
-    /// join and a pending event, which continuous draws make a
-    /// measure-zero, seed-deterministic coincidence). Retiring terminals
-    /// is not supported — probe below the snapshot's count from scratch.
-    ///
-    /// # Panics
-    /// If `n_terminals` is below the snapshot's terminal count.
-    pub fn fork_to(&self, n_terminals: u32) -> Self
-    where
-        P: Clone,
-    {
-        assert!(
-            n_terminals >= self.cfg.n_terminals,
-            "fork_to({n_terminals}) cannot retire terminals from a {}-terminal snapshot",
-            self.cfg.n_terminals
-        );
-        let mut sys = self.clone();
-        let s = sys.snapshot_time();
-        let added = (n_terminals - sys.cfg.n_terminals) as usize;
-        sys.terminals.reserve(added);
-        sys.term_rngs.reserve(added);
-        for t in sys.cfg.n_terminals..n_terminals {
-            let mut rng = SimRng::stream(sys.cfg.seed, TERMINAL_STREAM_BASE + t as u64);
-            let at = uniform_time(&mut rng, s, s + sys.cfg.timing.stagger);
-            sys.cal.schedule_at(at, Event::StartTerminal(t));
-            sys.terminals
-                .push(Terminal::new(t, sys.cfg.terminal_memory_bytes));
-            sys.term_rngs.push(rng);
-        }
-        sys.cfg.n_terminals = n_terminals;
-        sys
+        self.cal.advance_to(at);
     }
 
     fn dispatch(&mut self, ev: Event) {
@@ -2092,53 +1959,36 @@ mod tests {
         );
     }
 
+    /// A clone taken at the replay boundary with piggyback groups and an
+    /// in-progress visual search runs exactly like the original and like
+    /// a system that was never stopped.
     #[test]
-    fn kernel_env_values_parse_or_error() {
-        use spiffi_simcore::KernelKind;
-        assert_eq!(parse_kernel_env(None), Ok(KernelKind::Bucket));
-        assert_eq!(parse_kernel_env(Some("")), Ok(KernelKind::Bucket));
-        assert_eq!(parse_kernel_env(Some("bucket")), Ok(KernelKind::Bucket));
-        assert_eq!(parse_kernel_env(Some("Bucket")), Ok(KernelKind::Bucket));
-        assert_eq!(parse_kernel_env(Some("heap")), Ok(KernelKind::Heap));
-        assert_eq!(parse_kernel_env(Some("HEAP")), Ok(KernelKind::Heap));
-        assert_eq!(parse_kernel_env(Some("hep")), Err("hep".into()));
-        assert_eq!(parse_kernel_env(Some("1")), Err("1".into()));
-    }
-
-    /// The fork contract with piggyback groups and an in-progress visual
-    /// search at the boundary: forking the replayed base out to 20
-    /// terminals reproduces the from-scratch marginal build bit-exactly.
-    #[test]
-    fn fork_with_piggyback_and_visual_search_matches_fresh_build() {
+    fn clone_with_piggyback_and_visual_search_matches_fresh_build() {
         let mut cfg = SystemConfig::small_test();
         cfg.n_terminals = 14;
         cfg.piggyback_delay = Some(SimDuration::from_secs(2));
         let library = std::sync::Arc::new(VodSystem::generate_library(&cfg));
         let with_search = |mut sys: VodSystem| {
             sys.schedule_visual_search(
-                SimTime::ZERO + SimDuration::from_secs(6),
-                3,
+                SimTime::ZERO + SimDuration::from_secs(9),
+                2,
                 VisualSearch {
                     show: SimDuration::from_secs(1),
-                    skip: SimDuration::from_secs(4),
+                    skip: SimDuration::from_secs(2),
                     forward: true,
                 },
                 SimDuration::from_secs(8),
             );
             sys
         };
-        let mut sys = with_search(VodSystem::with_library_marginal(
-            cfg.clone(),
-            library.clone(),
-            14,
-        ));
+        let mut sys = with_search(VodSystem::with_library(cfg.clone(), library.clone()));
         sys.replay_to_snapshot();
-        let forked = sys.fork_to(20).run();
-
-        cfg.n_terminals = 20;
-        let fresh = with_search(VodSystem::with_library_marginal(cfg, library, 14)).run();
-        assert_eq!(forked, fresh, "fork diverged from the from-scratch build");
-        assert!(forked.blocks_delivered > 0, "degenerate run");
+        assert!(!sys.searches.is_empty(), "no visual search at the boundary");
+        let cloned = sys.clone().run();
+        let fresh = with_search(VodSystem::with_library(cfg, library)).run();
+        assert_eq!(cloned, fresh, "clone diverged from the fresh build");
+        assert_eq!(sys.run(), fresh, "original diverged after cloning");
+        assert!(fresh.blocks_delivered > 0, "degenerate run");
     }
 
     /// Records every fault callback so tests can assert what fired when.
@@ -2233,24 +2083,21 @@ mod tests {
     }
 
     #[test]
-    fn faulted_fork_matches_fresh_build() {
-        // Fault times sit past the warm-snapshot instant (warmup −
-        // stagger = 10 s), so pending FaultFire events must survive the
-        // deep clone for the fork to agree with a from-scratch build.
-        let mut cfg = faulted_config();
+    fn faulted_clone_matches_fresh_build() {
+        // Clone mid-run between the faults: the disk death (20 s) and the
+        // degrade (25 s) have fired, the abandon burst (30 s) and the
+        // degrade restore (35 s) are pending calendar events that both the
+        // clone and its original must carry out identically.
+        let cfg = faulted_config();
         let library = std::sync::Arc::new(VodSystem::generate_library(&cfg));
-        let mut sys = VodSystem::with_library_marginal(cfg.clone(), library.clone(), 12);
-        sys.replay_to_snapshot();
-        assert_eq!(sys.faults_fired(), 0, "faults fired before snapshot");
-        let forked = sys.fork_to(16).run();
-
-        cfg.n_terminals = 16;
-        let fresh = VodSystem::with_library_marginal(cfg, library, 12).run();
-        assert_eq!(
-            forked, fresh,
-            "faulted fork diverged from the from-scratch build"
-        );
-        assert!(forked.blocks_delivered > 0, "degenerate run");
+        let mut sys = VodSystem::with_library(cfg.clone(), library.clone());
+        sys.replay_before(SimTime::ZERO + SimDuration::from_secs(27));
+        assert_eq!(sys.faults_fired(), 2, "death and degrade must have fired");
+        let cloned = sys.clone().run();
+        let fresh = VodSystem::with_library(cfg, library).run();
+        assert_eq!(cloned, fresh, "faulted clone diverged from the fresh build");
+        assert_eq!(sys.run(), fresh, "original diverged after cloning");
+        assert!(fresh.blocks_delivered > 0, "degenerate run");
     }
 
     #[test]

@@ -115,7 +115,7 @@ pub trait DiskScheduler: Send + Sync {
 
     /// Deep-copy this scheduler, queued requests and sweep state included,
     /// behind a fresh box. Lets simulation state holding a
-    /// `Box<dyn DiskScheduler>` implement `Clone` for snapshot/fork.
+    /// `Box<dyn DiskScheduler>` implement `Clone`.
     fn clone_box(&self) -> Box<dyn DiskScheduler>;
 }
 

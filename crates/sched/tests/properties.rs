@@ -221,7 +221,7 @@ fn remove_is_precise() {
     }
 }
 
-/// Fork contract: after an arbitrary prefix of pushes and pops, a deep
+/// Clone contract: after an arbitrary prefix of pushes and pops, a deep
 /// clone of a scheduler must drain in exactly the order the original
 /// would have.
 #[test]

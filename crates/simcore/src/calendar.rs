@@ -7,43 +7,25 @@
 //! event's time, and scheduling into the past is a programming error that
 //! panics rather than silently reordering causality.
 //!
-//! Two interchangeable kernels implement the queue:
-//!
-//! * [`KernelKind::Bucket`] (the default) — a calendar queue (Brown 1988,
-//!   the structure DESP-C++'s event list builds on): an array of
-//!   power-of-two-wide time buckets addressed by `(time >> shift) & mask`.
-//!   Event times in a simulation like SPIFFI's are overwhelmingly
-//!   near-future (frame ticks, disk completions, pump wakeups), so a pop
-//!   takes the front of one sorted, mostly-singleton bucket and a
-//!   schedule appends to one — amortized O(1) against the binary heap's
-//!   O(log n) pointer-chasing sift. Bucket width and count adapt to the
-//!   observed event-horizon distribution (see `BucketQueue::rebuild`'s
-//!   rationale).
-//! * [`KernelKind::Heap`] — the original stable binary heap, kept as the
-//!   reference implementation for differential tests and kernel
-//!   benchmarks.
-//!
-//! Both kernels pop the global minimum under the identical `(time, seq)`
-//! total order, so the event history of any simulation — and therefore
-//! every golden report — is byte-identical whichever kernel runs it.
+//! The queue is a calendar queue (Brown 1988, the structure DESP-C++'s
+//! event list builds on): an array of power-of-two-wide time buckets
+//! addressed by `(time >> shift) & mask`. Event times in a simulation like
+//! SPIFFI's are overwhelmingly near-future (frame ticks, disk completions,
+//! pump wakeups), so a pop takes the front of one sorted, mostly-singleton
+//! bucket and a schedule appends to one — amortized O(1) against a binary
+//! heap's O(log n) pointer-chasing sift. Bucket width and count adapt to
+//! the observed event-horizon distribution (see `BucketQueue::rebuild`'s
+//! rationale). A stable binary heap over the same `(time, seq)` order
+//! survives only as the reference model of the differential test
+//! (`tests/calendar_differential.rs`).
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::time::{SimDuration, SimTime};
 
-/// Selects the data structure backing a [`Calendar`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum KernelKind {
-    /// Adaptive bucket (calendar) queue — amortized O(1), the default.
-    Bucket,
-    /// Stable binary min-heap — the O(log n) reference kernel.
-    Heap,
-}
-
 /// The simulation's event calendar and clock.
 ///
-/// `E` is the caller's event payload type; the kernel never inspects it.
+/// `E` is the caller's event payload type; the queue never inspects it.
 ///
 /// # Example
 /// ```
@@ -58,7 +40,7 @@ pub enum KernelKind {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Calendar<E> {
-    kernel: Kernel<E>,
+    queue: BucketQueue<E>,
     now: SimTime,
     seq: u64,
     scheduled_total: u64,
@@ -72,29 +54,6 @@ struct Entry<E> {
     event: E,
 }
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
-
-#[derive(Clone, Debug)]
-enum Kernel<E> {
-    Bucket(BucketQueue<E>),
-    Heap(BinaryHeap<Reverse<Entry<E>>>),
-}
-
 /// Location and key of the pending minimum, memoized between a scan and
 /// the pop (or repeated bounded pops) that consumes it. Buckets are kept
 /// sorted, so the minimum is always its bucket's front entry.
@@ -105,12 +64,12 @@ struct CachedMin {
     seq: u64,
 }
 
-/// The calendar-queue kernel. Bucket for time `t` is
+/// The calendar queue. Bucket for time `t` is
 /// `(t >> shift) & mask`; one "day" is the `1 << shift` ns a bucket spans,
 /// one "year" is a full trip around the wheel.
 ///
 /// Each bucket is a `(time, seq)`-sorted deque, which is what makes the
-/// kernel robust on SPIFFI-like workloads: the bucket minimum is the
+/// queue robust on SPIFFI-like workloads: the bucket minimum is the
 /// front (a pop never re-scans the bucket, so thousands of events massed
 /// on one instant still pop in O(1) each), and a freshly scheduled event
 /// at an already-occupied instant carries a larger `seq` than everything
@@ -124,8 +83,8 @@ struct BucketQueue<E> {
     /// The scan cursor crosses runs of empty days with `trailing_zeros`
     /// over these words (8 KB per 64 k buckets, L1/L2-resident) instead
     /// of loading one cold deque header per day — at large populations
-    /// that header walk, not the pops, is where the wheel loses to the
-    /// heap.
+    /// that header walk, not the pops, is where the wheel lost to a
+    /// binary heap.
     occupied: Vec<u64>,
     /// `buckets.len() - 1`; the count is always a power of two.
     mask: u64,
@@ -434,75 +393,23 @@ impl<E> Default for Calendar<E> {
 }
 
 impl<E> Calendar<E> {
-    /// An empty calendar with the clock at t = 0, on the default bucket
-    /// kernel.
+    /// An empty calendar with the clock at t = 0.
     pub fn new() -> Self {
         Self::with_capacity(0)
     }
 
     /// An empty calendar pre-sized for `capacity` pending events, so a
     /// caller that knows its steady-state event population (roughly a
-    /// handful per active terminal) avoids the kernel's early growth
+    /// handful per active terminal) avoids the queue's early growth
     /// reallocations.
     pub fn with_capacity(capacity: usize) -> Self {
-        Self::with_capacity_and_kernel(capacity, KernelKind::Bucket)
-    }
-
-    /// An empty calendar on an explicitly chosen kernel (benchmarks,
-    /// differential tests).
-    pub fn with_capacity_and_kernel(capacity: usize, kind: KernelKind) -> Self {
-        let kernel = match kind {
-            KernelKind::Bucket => Kernel::Bucket(BucketQueue::with_capacity(capacity)),
-            KernelKind::Heap => Kernel::Heap(BinaryHeap::with_capacity(capacity)),
-        };
         Calendar {
-            kernel,
+            queue: BucketQueue::with_capacity(capacity),
             now: SimTime::ZERO,
             seq: 0,
             scheduled_total: 0,
             len: 0,
         }
-    }
-
-    /// The kernel this calendar runs on.
-    pub fn kernel_kind(&self) -> KernelKind {
-        match self.kernel {
-            Kernel::Bucket(_) => KernelKind::Bucket,
-            Kernel::Heap(_) => KernelKind::Heap,
-        }
-    }
-
-    /// Move every pending event onto `kind`, preserving each event's
-    /// `(time, seq)` key — and therefore the exact pop order — along with
-    /// the clock and all counters. A no-op if the calendar is already on
-    /// that kernel.
-    pub fn set_kernel(&mut self, kind: KernelKind) {
-        if self.kernel_kind() == kind {
-            return;
-        }
-        let entries: Vec<Entry<E>> = match &mut self.kernel {
-            Kernel::Bucket(q) => std::mem::take(&mut q.buckets)
-                .into_iter()
-                .flatten()
-                .collect(),
-            Kernel::Heap(h) => std::mem::take(h).into_iter().map(|Reverse(e)| e).collect(),
-        };
-        let mut next = match kind {
-            KernelKind::Bucket => Kernel::Bucket(BucketQueue::with_capacity(entries.len())),
-            KernelKind::Heap => Kernel::Heap(BinaryHeap::with_capacity(entries.len())),
-        };
-        for e in entries {
-            match &mut next {
-                Kernel::Bucket(q) => q.insert(e.time, e.seq, e.event),
-                Kernel::Heap(h) => h.push(Reverse(e)),
-            }
-        }
-        if let Kernel::Bucket(q) = &mut next {
-            // One planning pass establishes width, horizon and cursor for
-            // the converted population.
-            q.rebuild(self.now);
-        }
-        self.kernel = next;
     }
 
     /// Current simulated time.
@@ -542,21 +449,13 @@ impl<E> Calendar<E> {
         self.seq += 1;
         self.scheduled_total += 1;
         self.len += 1;
-        match &mut self.kernel {
-            Kernel::Bucket(q) => {
-                q.insert(at, seq, event);
-                // Growth is insert-driven: a long schedule burst (system
-                // construction, a fork adding thousands of terminals) must
-                // not degrade into long bucket chains before the next pop.
-                if self.len > 4 * q.buckets.len() && q.buckets.len() < MAX_BUCKETS {
-                    q.rebuild(self.now);
-                }
-            }
-            Kernel::Heap(h) => h.push(Reverse(Entry {
-                time: at,
-                seq,
-                event,
-            })),
+        let q = &mut self.queue;
+        q.insert(at, seq, event);
+        // Growth is insert-driven: a long schedule burst (system
+        // construction adding thousands of terminals) must not degrade
+        // into long bucket chains before the next pop.
+        if self.len > 4 * q.buckets.len() && q.buckets.len() < MAX_BUCKETS {
+            q.rebuild(self.now);
         }
     }
 
@@ -586,36 +485,21 @@ impl<E> Calendar<E> {
         if self.len == 0 {
             return None;
         }
-        match &mut self.kernel {
-            Kernel::Bucket(q) => {
-                let c = q.find_min(self.len);
-                if if inclusive {
-                    c.time > limit
-                } else {
-                    c.time >= limit
-                } {
-                    return None;
-                }
-                let event = q.remove(c);
-                self.len -= 1;
-                debug_assert!(c.time >= self.now, "event calendar went backwards");
-                self.now = c.time;
-                q.maintain(self.len, self.now);
-                Some((c.time, event))
-            }
-            Kernel::Heap(h) => {
-                let head = h.peek()?;
-                let t = head.0.time;
-                if if inclusive { t > limit } else { t >= limit } {
-                    return None;
-                }
-                let Reverse(e) = h.pop().expect("peeked entry vanished");
-                self.len -= 1;
-                debug_assert!(e.time >= self.now, "event calendar went backwards");
-                self.now = e.time;
-                Some((e.time, e.event))
-            }
+        let q = &mut self.queue;
+        let c = q.find_min(self.len);
+        if if inclusive {
+            c.time > limit
+        } else {
+            c.time >= limit
+        } {
+            return None;
         }
+        let event = q.remove(c);
+        self.len -= 1;
+        debug_assert!(c.time >= self.now, "event calendar went backwards");
+        self.now = c.time;
+        q.maintain(self.len, self.now);
+        Some((c.time, event))
     }
 
     /// Time of the next pending event, if any.
@@ -623,15 +507,11 @@ impl<E> Calendar<E> {
         if self.len == 0 {
             return None;
         }
-        match &self.kernel {
-            // `&self` cannot advance the cursor or memoize; an unmemoized
-            // peek pays a bucket-front scan. Hot loops use the bounded
-            // pops instead.
-            Kernel::Bucket(q) => match q.cached {
-                Some(c) => Some(c.time),
-                None => q.scan_global_min().map(|c| c.time),
-            },
-            Kernel::Heap(h) => h.peek().map(|Reverse(e)| Some(e.time)).unwrap_or(None),
+        // `&self` cannot advance the cursor or memoize; an unmemoized peek
+        // pays a bucket-front scan. Hot loops use the bounded pops instead.
+        match self.queue.cached {
+            Some(c) => Some(c.time),
+            None => self.queue.scan_global_min().map(|c| c.time),
         }
     }
 
@@ -669,44 +549,33 @@ impl<E> Calendar<E> {
 mod tests {
     use super::*;
 
-    /// Every structural test runs on both kernels.
-    fn kernels() -> [KernelKind; 2] {
-        [KernelKind::Bucket, KernelKind::Heap]
-    }
-
     #[test]
     fn pops_in_time_order() {
-        for k in kernels() {
-            let mut cal = Calendar::with_capacity_and_kernel(0, k);
-            cal.schedule_at(SimTime(30), 'c');
-            cal.schedule_at(SimTime(10), 'a');
-            cal.schedule_at(SimTime(20), 'b');
-            let order: Vec<char> = std::iter::from_fn(|| cal.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, vec!['a', 'b', 'c'], "{k:?}");
-        }
+        let mut cal = Calendar::new();
+        cal.schedule_at(SimTime(30), 'c');
+        cal.schedule_at(SimTime(10), 'a');
+        cal.schedule_at(SimTime(20), 'b');
+        let order: Vec<char> = std::iter::from_fn(|| cal.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec!['a', 'b', 'c']);
     }
 
     #[test]
     fn same_time_events_fire_in_insertion_order() {
-        for k in kernels() {
-            let mut cal = Calendar::with_capacity_and_kernel(0, k);
-            for i in 0..100 {
-                cal.schedule_at(SimTime(5), i);
-            }
-            let order: Vec<i32> = std::iter::from_fn(|| cal.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, (0..100).collect::<Vec<_>>(), "{k:?}");
+        let mut cal = Calendar::new();
+        for i in 0..100 {
+            cal.schedule_at(SimTime(5), i);
         }
+        let order: Vec<i32> = std::iter::from_fn(|| cal.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn clock_advances_with_pops() {
-        for k in kernels() {
-            let mut cal = Calendar::with_capacity_and_kernel(0, k);
-            cal.schedule_at(SimTime(100), ());
-            assert_eq!(cal.now(), SimTime::ZERO);
-            cal.pop();
-            assert_eq!(cal.now(), SimTime(100));
-        }
+        let mut cal = Calendar::new();
+        cal.schedule_at(SimTime(100), ());
+        assert_eq!(cal.now(), SimTime::ZERO);
+        cal.pop();
+        assert_eq!(cal.now(), SimTime(100));
     }
 
     #[test]
@@ -719,62 +588,45 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cannot schedule into the past")]
-    fn scheduling_into_past_panics_on_heap_kernel() {
-        let mut cal = Calendar::with_capacity_and_kernel(0, KernelKind::Heap);
-        cal.schedule_at(SimTime(100), ());
-        cal.pop();
-        cal.schedule_at(SimTime(50), ());
-    }
-
-    #[test]
     fn pop_until_respects_limit() {
-        for k in kernels() {
-            let mut cal = Calendar::with_capacity_and_kernel(0, k);
-            cal.schedule_at(SimTime(10), 'a');
-            cal.schedule_at(SimTime(20), 'b');
-            assert_eq!(cal.pop_until(SimTime(15)), Some((SimTime(10), 'a')));
-            assert_eq!(cal.pop_until(SimTime(15)), None);
-            assert_eq!(cal.now(), SimTime(10));
-            assert_eq!(cal.pop_until(SimTime(25)), Some((SimTime(20), 'b')));
-        }
+        let mut cal = Calendar::new();
+        cal.schedule_at(SimTime(10), 'a');
+        cal.schedule_at(SimTime(20), 'b');
+        assert_eq!(cal.pop_until(SimTime(15)), Some((SimTime(10), 'a')));
+        assert_eq!(cal.pop_until(SimTime(15)), None);
+        assert_eq!(cal.now(), SimTime(10));
+        assert_eq!(cal.pop_until(SimTime(25)), Some((SimTime(20), 'b')));
     }
 
     #[test]
     fn pop_before_is_exclusive() {
-        for k in kernels() {
-            let mut cal = Calendar::with_capacity_and_kernel(0, k);
-            cal.schedule_at(SimTime(10), 'a');
-            cal.schedule_at(SimTime(20), 'b');
-            assert_eq!(cal.pop_before(SimTime(10)), None);
-            assert_eq!(cal.pop_before(SimTime(11)), Some((SimTime(10), 'a')));
-            assert_eq!(cal.pop_before(SimTime(20)), None);
-            assert_eq!(cal.pop_until(SimTime(20)), Some((SimTime(20), 'b')));
-        }
+        let mut cal = Calendar::new();
+        cal.schedule_at(SimTime(10), 'a');
+        cal.schedule_at(SimTime(20), 'b');
+        assert_eq!(cal.pop_before(SimTime(10)), None);
+        assert_eq!(cal.pop_before(SimTime(11)), Some((SimTime(10), 'a')));
+        assert_eq!(cal.pop_before(SimTime(20)), None);
+        assert_eq!(cal.pop_until(SimTime(20)), Some((SimTime(20), 'b')));
     }
 
     #[test]
     fn schedule_now_fires_after_current_instant_events() {
-        for k in kernels() {
-            let mut cal = Calendar::with_capacity_and_kernel(0, k);
-            cal.schedule_at(SimTime(10), 1);
-            cal.pop();
-            cal.schedule_now(2);
-            cal.schedule_now(3);
-            assert_eq!(cal.pop(), Some((SimTime(10), 2)));
-            assert_eq!(cal.pop(), Some((SimTime(10), 3)));
-        }
+        let mut cal = Calendar::new();
+        cal.schedule_at(SimTime(10), 1);
+        cal.pop();
+        cal.schedule_now(2);
+        cal.schedule_now(3);
+        assert_eq!(cal.pop(), Some((SimTime(10), 2)));
+        assert_eq!(cal.pop(), Some((SimTime(10), 3)));
     }
 
     #[test]
     fn schedule_in_is_relative_to_now() {
-        for k in kernels() {
-            let mut cal = Calendar::with_capacity_and_kernel(0, k);
-            cal.schedule_at(SimTime(1000), ());
-            cal.pop();
-            cal.schedule_in(SimDuration(500), ());
-            assert_eq!(cal.peek_time(), Some(SimTime(1500)));
-        }
+        let mut cal = Calendar::new();
+        cal.schedule_at(SimTime(1000), ());
+        cal.pop();
+        cal.schedule_in(SimDuration(500), ());
+        assert_eq!(cal.peek_time(), Some(SimTime(1500)));
     }
 
     #[test]
@@ -794,35 +646,31 @@ mod tests {
 
     #[test]
     fn len_and_counters() {
-        for k in kernels() {
-            let mut cal = Calendar::with_capacity_and_kernel(0, k);
-            assert!(cal.is_empty());
-            cal.schedule_at(SimTime(1), ());
-            cal.schedule_at(SimTime(2), ());
-            assert_eq!(cal.len(), 2);
-            assert_eq!(cal.scheduled_total(), 2);
-            cal.pop();
-            assert_eq!(cal.len(), 1);
-            assert_eq!(cal.scheduled_total(), 2);
-        }
+        let mut cal = Calendar::new();
+        assert!(cal.is_empty());
+        cal.schedule_at(SimTime(1), ());
+        cal.schedule_at(SimTime(2), ());
+        assert_eq!(cal.len(), 2);
+        assert_eq!(cal.scheduled_total(), 2);
+        cal.pop();
+        assert_eq!(cal.len(), 1);
+        assert_eq!(cal.scheduled_total(), 2);
     }
 
     #[test]
     fn interleaved_schedule_and_pop_is_stable() {
         // Property-style check: popping while scheduling preserves global
         // (time, insertion) order for equal times.
-        for k in kernels() {
-            let mut cal = Calendar::with_capacity_and_kernel(0, k);
-            cal.schedule_at(SimTime(10), (10, 0));
-            cal.schedule_at(SimTime(10), (10, 1));
-            let first = cal.pop().unwrap();
-            cal.schedule_at(SimTime(10), (10, 2));
-            let second = cal.pop().unwrap();
-            let third = cal.pop().unwrap();
-            assert_eq!(first.1, (10, 0));
-            assert_eq!(second.1, (10, 1));
-            assert_eq!(third.1, (10, 2));
-        }
+        let mut cal = Calendar::new();
+        cal.schedule_at(SimTime(10), (10, 0));
+        cal.schedule_at(SimTime(10), (10, 1));
+        let first = cal.pop().unwrap();
+        cal.schedule_at(SimTime(10), (10, 2));
+        let second = cal.pop().unwrap();
+        let third = cal.pop().unwrap();
+        assert_eq!(first.1, (10, 0));
+        assert_eq!(second.1, (10, 1));
+        assert_eq!(third.1, (10, 2));
     }
 
     #[test]
@@ -844,34 +692,6 @@ mod tests {
         expect.sort_by_key(|&(t, i)| (t, i));
         let got: Vec<(SimTime, u64)> = std::iter::from_fn(|| cal.pop()).collect();
         assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn set_kernel_preserves_order_and_counters() {
-        let mut cal = Calendar::new();
-        for i in 0..100u64 {
-            cal.schedule_at(SimTime(i % 7), i);
-        }
-        cal.pop();
-        let (len, total, now) = (cal.len(), cal.scheduled_total(), cal.now());
-        cal.set_kernel(KernelKind::Heap);
-        assert_eq!(cal.kernel_kind(), KernelKind::Heap);
-        assert_eq!(
-            (cal.len(), cal.scheduled_total(), cal.now()),
-            (len, total, now)
-        );
-        let mut heap_order = Vec::new();
-        // Round-trip back to bucket mid-drain.
-        for _ in 0..50 {
-            heap_order.push(cal.pop().unwrap());
-        }
-        cal.set_kernel(KernelKind::Bucket);
-        while let Some(e) = cal.pop() {
-            heap_order.push(e);
-        }
-        let mut expect: Vec<(SimTime, u64)> = (0..100u64).map(|i| (SimTime(i % 7), i)).collect();
-        expect.sort_by_key(|&(t, i)| (t, i));
-        assert_eq!(heap_order, expect[1..]);
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use calendar::{Calendar, KernelKind};
+pub use calendar::Calendar;
 pub use hash::{FastHashMap, FastHashSet};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

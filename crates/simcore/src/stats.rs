@@ -691,4 +691,14 @@ mod tests {
         assert_eq!(h.quantile(1.0), 4.25);
         assert_eq!(h.quantile(1.0), h.max());
     }
+
+    #[test]
+    fn histogram_p100_is_the_recorded_max() {
+        let mut h = Histogram::new(1.0, 10);
+        for v in [0.2, 3.7, 9.1] {
+            h.add(v);
+        }
+        assert_eq!(h.quantile(1.0), h.max());
+        assert_eq!(h.quantile(1.0), 9.1);
+    }
 }

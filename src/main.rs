@@ -80,10 +80,7 @@ fn main() -> ExitCode {
 struct Parsed {
     cfg: SystemConfig,
     csv: bool,
-    lo: u32,
-    hi: u32,
-    step: u32,
-    reps: u32,
+    search: CapacitySearch,
 }
 
 fn run(args: &[String]) -> Result<(), String> {
@@ -102,7 +99,12 @@ fn run(args: &[String]) -> Result<(), String> {
 
     match command {
         "simulate" => simulate(&p),
-        "capacity" => capacity_cmd(&p),
+        "capacity" => {
+            p.search
+                .validate()
+                .map_err(|e| format!("invalid capacity search: {e}"))?;
+            capacity_cmd(&p)
+        }
         _ => unreachable!(),
     }
     Ok(())
@@ -148,13 +150,7 @@ fn simulate(p: &Parsed) {
 }
 
 fn capacity_cmd(p: &Parsed) {
-    let search = CapacitySearch {
-        lo: p.lo,
-        hi: p.hi,
-        step: p.step,
-        replications: p.reps,
-    };
-    let result = max_glitch_free_terminals(&p.cfg, &search);
+    let result = max_glitch_free_terminals(&p.cfg, &p.search);
     if p.csv {
         println!("max_terminals,probes");
         println!("{},{}", result.max_terminals, result.probes.len());
@@ -258,10 +254,12 @@ fn parse(args: &[String]) -> Result<Parsed, String> {
     Ok(Parsed {
         cfg,
         csv,
-        lo,
-        hi,
-        step,
-        reps,
+        search: CapacitySearch {
+            lo,
+            hi,
+            step,
+            replications: reps,
+        },
     })
 }
 

@@ -133,6 +133,39 @@ fn bad_flags_are_rejected_with_nonzero_exit() {
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("invalid configuration"), "{err}");
+
+    // A malformed capacity search is refused before any probe runs: zero
+    // replications used to pass every probe vacuously, and an inverted
+    // bracket or a zero step used to panic with a backtrace.
+    for bad in [
+        &["--reps", "0"][..],
+        &["--step", "0"],
+        &["--lo", "50", "--hi", "10"],
+    ] {
+        let mut args = vec!["capacity", "--nodes", "1", "--disks-per-node", "1"];
+        args.extend(bad);
+        let out = cli(&args);
+        assert_eq!(out.status.code(), Some(2), "{bad:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("invalid capacity search"), "{bad:?}: {err}");
+        assert!(!err.contains("panicked"), "{bad:?}: {err}");
+    }
+}
+
+#[test]
+fn retired_env_knobs_exit_2() {
+    // The probe-timeline and event-kernel switches are gone; setting one
+    // must fail loudly rather than be silently ignored.
+    for knob in ["SPIFFI_SNAPSHOT", "SPIFFI_CAL_KERNEL"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_spiffi-vod"))
+            .args(["capacity", "--nodes", "1", "--disks-per-node", "1"])
+            .env(knob, "1")
+            .output()
+            .expect("failed to launch spiffi-vod");
+        assert_eq!(out.status.code(), Some(2), "{knob}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(knob), "{knob}: {err}");
+    }
 }
 
 #[test]
