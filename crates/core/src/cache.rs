@@ -15,7 +15,10 @@
 //! `OnceMemo`, a keyed once-cell: the first requester of a key generates
 //! it while concurrent requesters of the same key block on that one
 //! generation, so every key is built exactly once and every requester
-//! receives the same [`Arc`].
+//! receives the same [`Arc`]. Because those requesters would otherwise
+//! sit idle, the cache generates on the thread budget of the engine that
+//! created it ([`VodSystem::generate_library_on`]): titles are independent
+//! and slotted by id, so the library is byte-identical at any budget.
 //!
 //! [`ProbeCache`] applies the same idea one level up: a capacity search
 //! probes the same `(terminal count, replication)` pairs over and over —
@@ -143,15 +146,21 @@ impl LibraryKey {
 }
 
 /// A thread-safe, seed-keyed cache of generated libraries.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct LibraryCache {
     memo: OnceMemo<LibraryKey, Arc<Library>>,
+    /// Threads each library's titles are generated on.
+    threads: usize,
 }
 
 impl LibraryCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        LibraryCache::default()
+    /// An empty cache that generates each library on up to `threads`
+    /// threads.
+    pub fn new(threads: usize) -> Self {
+        LibraryCache {
+            memo: OnceMemo::default(),
+            threads: threads.max(1),
+        }
     }
 
     /// The library for `cfg`, generated on first request and shared
@@ -159,7 +168,7 @@ impl LibraryCache {
     /// once; the others wait and share it.
     pub fn get(&self, cfg: &SystemConfig) -> Arc<Library> {
         self.memo.get_or_build(LibraryKey::of(cfg), || {
-            Arc::new(VodSystem::generate_library(cfg))
+            Arc::new(VodSystem::generate_library_on(cfg, self.threads))
         })
     }
 
@@ -288,7 +297,7 @@ mod tests {
 
     #[test]
     fn same_identity_hits_different_seed_misses() {
-        let cache = LibraryCache::new();
+        let cache = LibraryCache::new(1);
         let cfg = SystemConfig::small_test();
         let a = cache.get(&cfg);
         let b = cache.get(&cfg);
@@ -305,8 +314,9 @@ mod tests {
     #[test]
     fn concurrent_first_requests_generate_once() {
         // Regression: `get` used to generate outside the lock, so racing
-        // first requests each built (and counted) their own copy.
-        let cache = LibraryCache::new();
+        // first requests each built (and counted) their own copy. The
+        // one build fans out over threads of its own.
+        let cache = LibraryCache::new(4);
         let cfg = SystemConfig::small_test();
         let barrier = std::sync::Barrier::new(8);
         let libs: Vec<Arc<Library>> = std::thread::scope(|s| {
@@ -400,7 +410,7 @@ mod tests {
 
     #[test]
     fn cached_library_matches_direct_generation() {
-        let cache = LibraryCache::new();
+        let cache = LibraryCache::new(2);
         let cfg = SystemConfig::small_test();
         let cached = cache.get(&cfg);
         let direct = VodSystem::generate_library(&cfg);
@@ -412,6 +422,41 @@ mod tests {
                 direct.get(id).total_bytes(),
                 "title {i} differs"
             );
+        }
+    }
+
+    #[test]
+    fn threaded_generation_is_byte_identical() {
+        let mut cfg = SystemConfig::small_test();
+        cfg.search_speedup = Some(4);
+        cfg.scenario = Some(crate::scenario::Scenario {
+            mix: Some(crate::scenario::BitrateMix {
+                every: 3,
+                bit_rate_bps: 15_000_000,
+            }),
+            ..Default::default()
+        });
+        let reference = VodSystem::generate_library_on(&cfg, 1);
+        assert_eq!(reference.len(), 2 * cfg.n_videos);
+        assert!(reference
+            .iter()
+            .any(|v| v.params().bit_rate_bps == 15_000_000));
+        for threads in [2, 8] {
+            let lib = VodSystem::generate_library_on(&cfg, threads);
+            assert_eq!(lib.len(), reference.len());
+            for (a, b) in reference.iter().zip(lib.iter()) {
+                assert_eq!(a.id(), b.id());
+                assert_eq!(a.params().bit_rate_bps, b.params().bit_rate_bps);
+                assert_eq!(a.total_bytes(), b.total_bytes(), "{:?}", a.id());
+                for f in 0..=a.num_frames() {
+                    assert_eq!(
+                        a.cum_bytes_at_frame(f),
+                        b.cum_bytes_at_frame(f),
+                        "{:?} frame {f} at {threads} threads",
+                        a.id()
+                    );
+                }
+            }
         }
     }
 }

@@ -248,6 +248,28 @@ impl SystemConfig {
         if self.n_videos == 0 {
             return Err("library must contain at least one video".into());
         }
+        self.video.validate().map_err(|e| e.to_string())?;
+        if let Some(speedup) = self.search_speedup {
+            if speedup < 2 {
+                return Err("search versions need a speed-up of at least 2".into());
+            }
+            let search = VideoParams {
+                duration: self.video.duration / speedup as u64,
+                ..self.video
+            };
+            search
+                .validate()
+                .map_err(|e| format!("search version: {e}"))?;
+        }
+        if let Some(mix) = self.scenario.as_ref().and_then(|s| s.mix) {
+            let mixed = VideoParams {
+                bit_rate_bps: mix.bit_rate_bps,
+                ..self.video
+            };
+            mixed
+                .validate()
+                .map_err(|e| format!("scenario bitrate mix: {e}"))?;
+        }
         if self.stripe_bytes == 0 {
             return Err("stripe size must be positive".into());
         }
@@ -379,6 +401,84 @@ mod tests {
         let mut c = SystemConfig::small_test();
         c.timing.warmup = SimDuration::ZERO;
         assert!(c.validate().is_err());
+
+        // A 1x "search version" used to reach the library's assertion.
+        let mut c = SystemConfig::small_test();
+        c.search_speedup = Some(1);
+        assert!(c.validate().is_err());
+    }
+
+    /// The validation error of `small_test` after `edit`.
+    fn video_error(edit: impl FnOnce(&mut SystemConfig)) -> String {
+        let mut c = SystemConfig::small_test();
+        edit(&mut c);
+        c.validate().expect_err("config should be refused")
+    }
+
+    #[test]
+    fn validation_refuses_zero_fps() {
+        let err = video_error(|c| c.video.fps = 0);
+        assert_eq!(err, spiffi_mpeg::ParamsError::ZeroFps.to_string());
+    }
+
+    #[test]
+    fn validation_refuses_zero_bit_rate() {
+        let err = video_error(|c| c.video.bit_rate_bps = 0);
+        assert_eq!(err, spiffi_mpeg::ParamsError::ZeroBitRate.to_string());
+    }
+
+    #[test]
+    fn validation_refuses_titles_without_frames() {
+        // `--video-secs 0` used to hang the simulator.
+        let err = video_error(|c| c.video.duration = SimDuration::ZERO);
+        assert_eq!(err, spiffi_mpeg::ParamsError::NoFrames.to_string());
+        // Under one frame time (1/30 s) is still no frame.
+        let err = video_error(|c| c.video.duration = SimDuration::from_millis(30));
+        assert_eq!(err, spiffi_mpeg::ParamsError::NoFrames.to_string());
+        // A search version a fraction of the title's length can be empty
+        // even when the title is not.
+        let err = video_error(|c| {
+            c.video.duration = SimDuration::from_millis(100);
+            c.search_speedup = Some(4);
+        });
+        assert!(err.starts_with("search version:"), "{err}");
+    }
+
+    #[test]
+    fn validation_refuses_gops_beyond_u32_offsets() {
+        // 37 × a 30 fps GOP's mean bytes reaches 2³² just under 1.86 Gbit/s.
+        let mut c = SystemConfig::small_test();
+        c.video.bit_rate_bps = 1_800_000_000;
+        assert!(c.validate().is_ok());
+        let err = video_error(|c| c.video.bit_rate_bps = 1_900_000_000);
+        assert_eq!(
+            err,
+            spiffi_mpeg::ParamsError::GopTooLarge {
+                bit_rate_bps: 1_900_000_000
+            }
+            .to_string()
+        );
+        // The scenario's alternate rate is held to the same bound.
+        let err = video_error(|c| {
+            c.scenario = Some(crate::scenario::Scenario {
+                mix: Some(crate::scenario::BitrateMix {
+                    every: 4,
+                    bit_rate_bps: 1_900_000_000,
+                }),
+                ..Default::default()
+            })
+        });
+        assert!(err.starts_with("scenario bitrate mix:"), "{err}");
+        let err = video_error(|c| {
+            c.scenario = Some(crate::scenario::Scenario {
+                mix: Some(crate::scenario::BitrateMix {
+                    every: 4,
+                    bit_rate_bps: 0,
+                }),
+                ..Default::default()
+            })
+        });
+        assert!(err.ends_with("bit rate must be positive"), "{err}");
     }
 
     #[test]

@@ -50,8 +50,8 @@
 //! separately as [`CapacityResult::speculative_events`].
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 
 use crate::cache::{LibraryCache, ProbeCache, ProbeOutcome};
 use crate::config::SystemConfig;
@@ -145,47 +145,9 @@ pub fn engine_threads() -> usize {
     }
 }
 
-/// Run `f(i)` for every `i < n` on at most `threads` OS threads, returning
-/// the results slotted by index.
-///
-/// Execution *order* is nondeterministic above one thread; the result
-/// vector never is — `out[i] == f(i)` regardless of which worker computed
-/// it or when. With `threads <= 1` or a single item this degenerates to a
-/// plain sequential map (the exact legacy path: same calls, same order, no
-/// threads spawned).
-pub fn fan_out<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if threads <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(n).collect();
-    std::thread::scope(|s| {
-        let (tx, rx) = mpsc::channel::<(usize, T)>();
-        for _ in 0..threads.min(n) {
-            let tx = tx.clone();
-            let next = &next;
-            let f = &f;
-            s.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n || tx.send((i, f(i))).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        for (i, v) in rx {
-            slots[i] = Some(v);
-        }
-    });
-    slots
-        .into_iter()
-        .map(|v| v.expect("fan_out worker dropped a slot"))
-        .collect()
-}
+/// The workspace's index-slotted parallel map, re-exported here so the
+/// driver's callers keep one import path.
+pub use spiffi_simcore::fan_out;
 
 /// The parallel experiment engine: a thread budget plus a shared
 /// [`LibraryCache`], behind every replication fan-out in the driver.
@@ -217,11 +179,12 @@ impl Engine {
     }
 
     /// An engine with an explicit thread budget (tests of the determinism
-    /// guarantee construct several of these side by side).
+    /// guarantee construct several of these side by side). Its library
+    /// cache generates on the same budget.
     pub fn with_threads(threads: usize) -> Self {
         Engine::with_caches(
             threads,
-            Arc::new(LibraryCache::new()),
+            Arc::new(LibraryCache::new(threads)),
             Arc::new(ProbeCache::new()),
         )
     }
@@ -247,7 +210,9 @@ impl Engine {
     /// An engine with a `threads` budget that shares everything else with
     /// this one: the library and probe caches and the run journal. Grid
     /// sweeps use it to spend their parallelism across grid points while
-    /// every point still runs on the configured engine.
+    /// every point still runs on the configured engine; the shared library
+    /// cache keeps generating on this engine's budget, since the points
+    /// that need a library wait for it.
     pub fn sibling(&self, threads: usize) -> Self {
         Engine {
             threads: threads.max(1),
@@ -1102,15 +1067,6 @@ mod tests {
         assert_eq!(round_to_grid(-3.0, 5), 5);
         // A zero grid is repaired, never a divide-by-zero.
         assert_eq!(round_to_grid(3.0, 0), 3);
-    }
-
-    #[test]
-    fn fan_out_slots_results_by_index() {
-        for threads in [1, 2, 8] {
-            let out = fan_out(17, threads, |i| i * i);
-            assert_eq!(out, (0..17).map(|i| i * i).collect::<Vec<_>>());
-        }
-        assert!(fan_out(0, 4, |i| i).is_empty());
     }
 
     #[test]

@@ -371,8 +371,16 @@ impl VodSystem {
     /// and a scenario's bitrate mix — callers running many simulations
     /// that agree on those fields (a capacity search at one replication
     /// seed, a scheduler comparison) should generate once and hand clones
-    /// to [`VodSystem::with_library`].
+    /// to [`VodSystem::with_library`]. Generation runs on the caller's
+    /// thread; [`VodSystem::generate_library_on`] spreads it over more.
     pub fn generate_library(cfg: &SystemConfig) -> Library {
+        Self::generate_library_on(cfg, 1)
+    }
+
+    /// [`VodSystem::generate_library`] with the titles generated on up to
+    /// `threads` threads. The library is byte-identical at any thread
+    /// count.
+    pub fn generate_library_on(cfg: &SystemConfig, threads: usize) -> Library {
         let seed = cfg.seed ^ 0x11b;
         let base = cfg.video;
         let mix = cfg.scenario.as_ref().and_then(|s| s.mix);
@@ -384,10 +392,14 @@ impl VodSystem {
             _ => base,
         };
         match cfg.search_speedup {
-            None => Library::generate_each(cfg.n_videos, seed, params_of),
-            Some(speedup) => {
-                Library::generate_each_with_search_versions(cfg.n_videos, seed, speedup, params_of)
-            }
+            None => Library::generate_each(cfg.n_videos, seed, threads, params_of),
+            Some(speedup) => Library::generate_each_with_search_versions(
+                cfg.n_videos,
+                seed,
+                speedup,
+                threads,
+                params_of,
+            ),
         }
     }
 

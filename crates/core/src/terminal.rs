@@ -116,13 +116,9 @@ pub struct Terminal {
     /// head of [`TerminalCold::pauses`], mirrored here so the per-frame
     /// consumption loop never dereferences the cold box.
     next_pause_frame: u64,
-    /// Memoized bulk-advance bound: first frame not fully inside the
-    /// contiguous prefix, valid while `contiguous_end == data_stop_end`
-    /// (`u64::MAX` = stale). `frame_at_byte` is a binary search over the
-    /// frame index; the prefix only moves on block arrival, so caching it
-    /// keeps that search off the per-pump path.
-    data_stop: u64,
-    data_stop_end: u64,
+    /// First frame not fully inside the contiguous prefix, memoized for
+    /// the prefix end it was computed at.
+    data_stop: DataStop,
     blocks_received: u64,
     /// Rarely-touched state, one pointer away.
     cold: Box<TerminalCold>,
@@ -159,8 +155,7 @@ impl Terminal {
             next_request: 0,
             outstanding: 0,
             next_pause_frame: u64::MAX,
-            data_stop: 0,
-            data_stop_end: u64::MAX,
+            data_stop: DataStop::STALE,
             blocks_received: 0,
             cold: Box::default(),
         }
@@ -238,7 +233,7 @@ impl Terminal {
         self.state = PlayState::Priming;
         self.frontier_block = start_block;
         self.contiguous_end = start_block as u64 * block_bytes;
-        self.data_stop_end = u64::MAX; // new title: cached stop is for the old frame index
+        self.data_stop = DataStop::STALE; // new title: cached stop is for the old frame index
         self.cold.ooo.clear();
         self.ooo_bytes = 0;
         self.next_request = start_block;
@@ -412,22 +407,10 @@ impl Terminal {
                 // the original per-frame priority order.
                 let played =
                     SimDuration(now.0 + video.frame_display_offset(self.base_frame).0 - origin.0);
-                // First frame not fully inside the contiguous prefix; once
-                // the prefix covers the whole file the data never stops us
-                // (frame_at_byte clamps to the last frame, which would pin
-                // `stop` at the current frame on the final iteration).
-                if self.data_stop_end != self.contiguous_end {
-                    self.data_stop = if self.contiguous_end >= total {
-                        num_frames
-                    } else {
-                        video.frame_at_byte(self.contiguous_end)
-                    };
-                    self.data_stop_end = self.contiguous_end;
-                }
                 let stop = video
                     .first_frame_after(played)
                     .min(self.next_pause_frame)
-                    .min(self.data_stop);
+                    .min(self.data_stop.frame(video, self.contiguous_end));
                 debug_assert!(stop > frame, "bulk pump advance must make progress");
                 cursor.seek(video, stop);
             } else {
@@ -480,7 +463,7 @@ impl Terminal {
 
     /// The earliest future instant at which this terminal's state can
     /// change without external input.
-    fn next_wake(&self, video: &Video, block_bytes: u64, _now: SimTime) -> Option<SimTime> {
+    fn next_wake(&mut self, video: &Video, block_bytes: u64, _now: SimTime) -> Option<SimTime> {
         match self.state {
             PlayState::Idle | PlayState::Priming | PlayState::Finished => None,
             PlayState::Paused { resume_at, .. } => Some(resume_at),
@@ -503,12 +486,8 @@ impl Terminal {
 
                 // Moment the contiguous data runs dry (potential glitch),
                 // or the end of the title if everything is buffered.
-                if self.contiguous_end < total {
-                    let dry_frame = video.frame_at_byte(self.contiguous_end);
-                    consider(display_time(video, origin, self.base_frame, dry_frame));
-                } else {
-                    consider(display_time(video, origin, self.base_frame, num_frames));
-                }
+                let dry_frame = self.data_stop.frame(video, self.contiguous_end);
+                consider(display_time(video, origin, self.base_frame, dry_frame));
 
                 // Moment enough frames will have been displayed to free
                 // space for the next request.
@@ -533,6 +512,44 @@ impl Terminal {
                 wake
             }
         }
+    }
+}
+
+/// The first frame not fully inside a terminal's contiguous prefix, with
+/// the prefix end it was computed at.
+///
+/// The bulk pump advance and the next-wake computation both need it on
+/// every playing pump, but the prefix only moves on block arrival, so the
+/// `frame_at_byte` lookup behind it reruns only when the prefix has moved.
+#[derive(Clone, Copy, Debug)]
+struct DataStop {
+    frame: u64,
+    /// `contiguous_end` that `frame` belongs to (`u64::MAX` = stale).
+    end: u64,
+}
+
+impl DataStop {
+    /// A memo no prefix end matches.
+    const STALE: DataStop = DataStop {
+        frame: 0,
+        end: u64::MAX,
+    };
+
+    /// The first frame of `video` not fully inside `[0, contiguous_end)`.
+    /// Once the prefix covers the whole title the data never stops
+    /// playback, so the answer is `num_frames` (`frame_at_byte` would
+    /// clamp to the last frame instead).
+    #[inline]
+    fn frame(&mut self, video: &Video, contiguous_end: u64) -> u64 {
+        if self.end != contiguous_end {
+            self.frame = if contiguous_end >= video.total_bytes() {
+                video.num_frames()
+            } else {
+                video.frame_at_byte(contiguous_end)
+            };
+            self.end = contiguous_end;
+        }
+        self.frame
     }
 }
 

@@ -14,12 +14,13 @@
 //!   frame sizes is repeated" — frame sizes are a deterministic function of
 //!   `(video seed, frame index)`.
 //!
-//! A one-hour video has 108 000 frames. Storing every frame's byte offset
-//! would cost ~1 MB per title, so [`Video`] keeps a cumulative index at GOP
-//! granularity (~57 KB per hour of video) and regenerates the 15 frames
-//! inside a GOP on demand — exact, deterministic, and cheap. [`PlayCursor`]
-//! adds an O(1) sequential window over that index for the terminal's
-//! frame-accurate consumption.
+//! A one-hour video has 108 000 frames. [`Video`] indexes them in two
+//! levels: a `u64` cumulative byte count per GOP (~57 KB per hour of
+//! video) and a `u32` offset per frame from the start of its GOP (~432 KB),
+//! half what a flat `u64` per frame would take. [`PlayCursor`] adds an O(1)
+//! sequential window over that index for the terminal's frame-accurate
+//! consumption. A [`Library`] generates its titles independently, so it
+//! can spread them over threads and still come out byte-identical.
 
 #![warn(missing_docs)]
 
@@ -29,4 +30,4 @@ pub mod video;
 
 pub use frame::{FrameType, GopPattern, GOP_LEN};
 pub use library::{AccessPattern, Library, TitleSelector};
-pub use video::{PlayCursor, Video, VideoId, VideoParams};
+pub use video::{ParamsError, PlayCursor, Video, VideoId, VideoParams};

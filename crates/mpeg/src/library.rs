@@ -5,7 +5,7 @@
 //! "the parameter z determines how skewed the distribution is"; §7.5 also
 //! evaluates a uniform distribution.
 
-use spiffi_simcore::{dist::Zipf, SimRng};
+use spiffi_simcore::{dist::Zipf, fan_out, SimRng};
 
 use crate::video::{Video, VideoId, VideoParams};
 
@@ -49,23 +49,20 @@ pub struct Library {
 impl Library {
     /// Generate `n` titles with identical stream parameters.
     pub fn generate(n: usize, params: VideoParams, seed: u64) -> Self {
-        Self::generate_each(n, seed, |_| params)
+        Self::generate_each(n, seed, 1, |_| params)
     }
 
     /// Generate `n` titles where title `i` uses `params_of(i)` — a
     /// bitrate-heterogeneous library (e.g. mostly 4 Mbit/s titles with
-    /// every k-th at 15 Mbit/s). Frame sizes still derive only from
-    /// `(seed, id)` and the title's own parameters.
-    pub fn generate_each(n: usize, seed: u64, params_of: impl Fn(u32) -> VideoParams) -> Self {
-        assert!(n > 0, "library must contain at least one title");
-        let videos = (0..n)
-            .map(|i| Video::generate(VideoId(i as u32), params_of(i as u32), seed))
-            .collect();
-        Library {
-            videos,
-            normal_titles: n,
-            search_speedup: None,
-        }
+    /// every k-th at 15 Mbit/s) — on up to `threads` threads. Frame sizes
+    /// still derive only from `(seed, id)` and the title's own parameters.
+    pub fn generate_each(
+        n: usize,
+        seed: u64,
+        threads: usize,
+        params_of: impl Fn(u32) -> VideoParams + Sync,
+    ) -> Self {
+        Self::generate_titles(n, seed, None, threads, params_of)
     }
 
     /// Generate `n` titles plus one search version per title at the given
@@ -77,35 +74,55 @@ impl Library {
         seed: u64,
         speedup: u32,
     ) -> Self {
-        Self::generate_each_with_search_versions(n, seed, speedup, |_| params)
+        Self::generate_each_with_search_versions(n, seed, speedup, 1, |_| params)
     }
 
     /// [`Library::generate_with_search_versions`] with per-title
-    /// parameters: title `i` uses `params_of(i)`, and its search version
-    /// inherits those parameters with duration scaled by `1/speedup`.
+    /// parameters, on up to `threads` threads: title `i` uses
+    /// `params_of(i)`, and its search version inherits those parameters
+    /// with duration scaled by `1/speedup`.
     pub fn generate_each_with_search_versions(
         n: usize,
         seed: u64,
         speedup: u32,
-        params_of: impl Fn(u32) -> VideoParams,
+        threads: usize,
+        params_of: impl Fn(u32) -> VideoParams + Sync,
+    ) -> Self {
+        Self::generate_titles(n, seed, Some(speedup), threads, params_of)
+    }
+
+    /// The one per-title path behind every constructor.
+    ///
+    /// Each title is a pure function of `(seed, id, params)` and lands in
+    /// its id's slot, so the library is byte-identical at any thread
+    /// count; `threads == 1` generates on the caller's thread in id order.
+    fn generate_titles(
+        n: usize,
+        seed: u64,
+        search_speedup: Option<u32>,
+        threads: usize,
+        params_of: impl Fn(u32) -> VideoParams + Sync,
     ) -> Self {
         assert!(n > 0, "library must contain at least one title");
-        assert!(speedup >= 2, "a search version must be faster than 1x");
-        let mut videos: Vec<Video> = (0..n)
-            .map(|i| Video::generate(VideoId(i as u32), params_of(i as u32), seed))
-            .collect();
-        videos.extend((0..n).map(|i| {
-            let params = params_of(i as u32);
-            let search_params = VideoParams {
-                duration: params.duration / speedup as u64,
-                ..params
+        if let Some(speedup) = search_speedup {
+            assert!(speedup >= 2, "a search version must be faster than 1x");
+        }
+        let titles = if search_speedup.is_some() { 2 * n } else { n };
+        let videos = fan_out(titles, threads, |i| {
+            let params = params_of((i % n) as u32);
+            let params = match search_speedup {
+                Some(speedup) if i >= n => VideoParams {
+                    duration: params.duration / speedup as u64,
+                    ..params
+                },
+                _ => params,
             };
-            Video::generate(VideoId((n + i) as u32), search_params, seed)
-        }));
+            Video::generate(VideoId(i as u32), params, seed)
+        });
         Library {
             videos,
             normal_titles: n,
-            search_speedup: Some(speedup),
+            search_speedup,
         }
     }
 
@@ -257,7 +274,7 @@ mod tests {
             bit_rate_bps: base.bit_rate_bps * 3,
             ..base
         };
-        let lib = Library::generate_each(8, 1, |i| if i % 4 == 0 { fat } else { base });
+        let lib = Library::generate_each(8, 1, 1, |i| if i % 4 == 0 { fat } else { base });
         assert_eq!(lib.get(VideoId(0)).params().bit_rate_bps, fat.bit_rate_bps);
         assert_eq!(lib.get(VideoId(1)).params().bit_rate_bps, base.bit_rate_bps);
         assert_eq!(lib.get(VideoId(4)).params().bit_rate_bps, fat.bit_rate_bps);
@@ -267,7 +284,7 @@ mod tests {
         assert!((2.5..3.5).contains(&ratio), "ratio {ratio}");
         // The uniform constructor stays bit-identical to generate_each.
         let uniform = Library::generate(8, base, 1);
-        let each = Library::generate_each(8, 1, |_| base);
+        let each = Library::generate_each(8, 1, 1, |_| base);
         for i in 0..8u32 {
             assert_eq!(
                 uniform.get(VideoId(i)).total_bytes(),

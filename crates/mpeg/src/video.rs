@@ -69,10 +69,81 @@ impl VideoParams {
     pub fn bytes_per_sec(&self) -> f64 {
         self.bit_rate_bps as f64 / 8.0
     }
+
+    /// Check that titles with these parameters can be generated and
+    /// indexed.
+    ///
+    /// A frame's offset into its GOP is stored as a `u32`. A frame size is
+    /// an exponential draw `-mean·ln(u)` with `u ≥ 2⁻⁵³`, so no frame
+    /// exceeds 36.7× its type's mean, and no GOP exceeds 37× the mean
+    /// GOP; rates whose bound reaches 2³² bytes are refused (about
+    /// 1.86 Gbit/s at 30 fps).
+    pub fn validate(&self) -> Result<(), ParamsError> {
+        if self.fps == 0 {
+            return Err(ParamsError::ZeroFps);
+        }
+        if self.bit_rate_bps == 0 {
+            return Err(ParamsError::ZeroBitRate);
+        }
+        if self.num_frames() == 0 {
+            return Err(ParamsError::NoFrames);
+        }
+        let worst_gop =
+            MAX_GOP_MEANS * GopPattern::for_bit_rate(self.bit_rate_bps, self.fps).mean_gop_bytes();
+        if worst_gop >= (1u64 << 32) as f64 {
+            return Err(ParamsError::GopTooLarge {
+                bit_rate_bps: self.bit_rate_bps,
+            });
+        }
+        Ok(())
+    }
 }
 
+/// Upper bound on a GOP's bytes in units of its mean: `-ln(2⁻⁵³) ≈ 36.7`
+/// rounded up, which also covers per-frame rounding.
+const MAX_GOP_MEANS: f64 = 37.0;
+
+/// Why [`VideoParams`] cannot describe a generated title.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ParamsError {
+    /// The display rate is zero.
+    ZeroFps,
+    /// The stream rate is zero.
+    ZeroBitRate,
+    /// The duration holds no whole frame.
+    NoFrames,
+    /// A worst-case GOP at this rate overflows the `u32` frame offsets.
+    GopTooLarge {
+        /// The offending stream rate, bits/second.
+        bit_rate_bps: u64,
+    },
+}
+
+impl std::fmt::Display for ParamsError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ParamsError::ZeroFps => write!(f, "video frame rate must be positive"),
+            ParamsError::ZeroBitRate => write!(f, "video bit rate must be positive"),
+            ParamsError::NoFrames => write!(f, "video duration must hold at least one frame"),
+            ParamsError::GopTooLarge { bit_rate_bps } => write!(
+                f,
+                "video bit rate {bit_rate_bps} bit/s is too high: a worst-case GOP \
+                 would overflow the 32-bit frame offsets"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ParamsError {}
+
 /// One video title: a deterministic sequence of I/P/B frames with
-/// exponentially distributed sizes, indexed at GOP granularity.
+/// exponentially distributed sizes, and a byte index over them.
+///
+/// The index has two levels: 8-byte cumulative totals per GOP and
+/// 4-byte offsets per frame from the start of its GOP, so a frame's
+/// stream position is `gop_cum[f / GOP_LEN] + frame_off[f]`. A one-hour
+/// title at 30 fps indexes in about 0.5 MB instead of the 0.9 MB a flat
+/// `u64` per frame would take.
 #[derive(Clone, Debug)]
 pub struct Video {
     id: VideoId,
@@ -82,11 +153,12 @@ pub struct Video {
     /// `gop_cum[g]` = total bytes of all frames before GOP `g`;
     /// `gop_cum[ngops]` = total title bytes.
     gop_cum: Vec<u64>,
-    /// `frame_cum[f]` = total bytes of frames `[0, f)`;
-    /// `frame_cum[num_frames]` = total title bytes. Precomputed once so the
-    /// per-frame lookups on the simulation hot path (deadlines, wake times,
-    /// glitch checks) never regenerate a GOP's frame sizes.
-    frame_cum: Vec<u64>,
+    /// `frame_off[f]` = bytes of the frames of `f`'s GOP that precede `f`
+    /// (0 for a GOP's first frame). Precomputed once so the per-frame
+    /// lookups on the simulation hot path (deadlines, wake times, glitch
+    /// checks) never regenerate a GOP's frame sizes. A GOP's bytes fit in
+    /// `u32` for every rate [`VideoParams::validate`] accepts.
+    frame_off: Vec<u32>,
     num_frames: u64,
 }
 
@@ -97,36 +169,43 @@ impl Video {
     /// own stream from `(library_seed, id)`, so "each time the same video is
     /// played, the same sequence of frames and frame sizes is repeated"
     /// (§6.1) regardless of what else the simulation does.
+    ///
+    /// # Panics
+    /// If a GOP's bytes overflow the `u32` frame offsets, which
+    /// [`VideoParams::validate`] rules out.
     pub fn generate(id: VideoId, params: VideoParams, library_seed: u64) -> Self {
         let seed = SimRng::stream(library_seed, id.0 as u64).next_u64_raw();
         let pattern = GopPattern::for_bit_rate(params.bit_rate_bps, params.fps);
         let num_frames = params.num_frames();
         let ngops = num_frames.div_ceil(GOP_LEN as u64);
         let mut gop_cum = Vec::with_capacity(ngops as usize + 1);
-        let mut frame_cum = Vec::with_capacity(num_frames as usize + 1);
-        let mut acc = 0u64;
+        let mut frame_off = Vec::with_capacity(num_frames as usize);
         gop_cum.push(0);
-        frame_cum.push(0);
         let mut v = Video {
             id,
             seed,
             params,
             pattern,
             gop_cum: Vec::new(),
-            frame_cum: Vec::new(),
+            frame_off: Vec::new(),
             num_frames,
         };
+        let mut acc = 0u64;
         for g in 0..ngops {
             let sizes = v.gop_frame_sizes(g);
-            let frames_in_gop = gop_frames(num_frames, g);
-            for &s in &sizes[..frames_in_gop] {
-                acc += s;
-                frame_cum.push(acc);
+            let sizes = &sizes[..gop_frames(num_frames, g)];
+            let gop_bytes: u64 = sizes.iter().sum();
+            u32::try_from(gop_bytes).expect("GOP bytes overflow the u32 frame offsets");
+            let mut within = 0u64;
+            for &s in sizes {
+                frame_off.push(within as u32);
+                within += s;
             }
+            acc += gop_bytes;
             gop_cum.push(acc);
         }
         v.gop_cum = gop_cum;
-        v.frame_cum = frame_cum;
+        v.frame_off = frame_off;
         v
     }
 
@@ -174,8 +253,13 @@ impl Video {
     }
 
     /// Bytes occupied by frames `[0, f)`.
+    #[inline]
     pub fn cum_bytes_at_frame(&self, f: u64) -> u64 {
-        self.frame_cum[f.min(self.num_frames) as usize]
+        if f >= self.num_frames {
+            return self.total_bytes();
+        }
+        let f = f as usize;
+        self.gop_cum[f / GOP_LEN] + u64::from(self.frame_off[f])
     }
 
     /// The frame containing byte offset `byte` (clamped to the last frame
@@ -185,8 +269,16 @@ impl Video {
         if byte >= self.total_bytes() {
             return self.num_frames.saturating_sub(1);
         }
-        // First frame whose through-frame cumulative exceeds `byte`.
-        self.frame_cum.partition_point(|&c| c <= byte) as u64 - 1
+        // The last GOP starting at or before `byte` (`gop_cum[0] = 0`, so
+        // there is one), then the last of its frames starting at or
+        // before `byte`'s offset into it. That offset is below the GOP's
+        // byte total, which `generate` checked fits `u32`.
+        let g = self.gop_cum.partition_point(|&c| c <= byte) - 1;
+        let within = (byte - self.gop_cum[g]) as u32;
+        let start = g * GOP_LEN;
+        let end = (start + GOP_LEN).min(self.frame_off.len());
+        let i = self.frame_off[start..end].partition_point(|&o| o <= within);
+        (start + i - 1) as u64
     }
 
     /// Display instant of frame `f`, as an offset from playback start.
@@ -262,19 +354,23 @@ impl PlayCursor {
     }
 
     fn load_gop(&mut self, video: &Video, g: u64) {
-        // Slice the precomputed per-frame index instead of regenerating
-        // the GOP's sizes. A partial final GOP has no entries past the
-        // last real frame; pad with the last value (those slots are never
-        // read while the cursor is in bounds).
-        let start = (g * GOP_LEN as u64) as usize;
+        // Read both levels of the precomputed index instead of
+        // regenerating the GOP's sizes. A partial final GOP has no entries
+        // past the last real frame; pad with the GOP's byte total (those
+        // slots are never read while the cursor is in bounds). A title
+        // with no frames has no GOP 0, so its cursor sees zero bytes.
+        let start = g as usize * GOP_LEN;
         let present = gop_frames(video.num_frames, g);
         self.gop_base = video.gop_cum[g as usize];
-        self.within_cum[0] = 0;
-        for i in 1..=GOP_LEN {
-            self.within_cum[i] = if i <= present {
-                video.frame_cum[start + i] - self.gop_base
+        let gop_bytes = video
+            .gop_cum
+            .get(g as usize + 1)
+            .map_or(0, |&end| end - self.gop_base);
+        for (i, slot) in self.within_cum.iter_mut().enumerate() {
+            *slot = if i < present {
+                u64::from(video.frame_off[start + i])
             } else {
-                self.within_cum[present]
+                gop_bytes
             };
         }
         self.gop_idx = g;
@@ -490,6 +586,46 @@ mod tests {
         // Seeking past the end clamps and reports at_end.
         c.seek(&v, u64::MAX);
         assert!(c.at_end(&v));
+    }
+
+    #[test]
+    fn validate_names_each_unusable_parameter() {
+        let ok = VideoParams::default();
+        assert_eq!(ok.validate(), Ok(()));
+        let zero_fps = VideoParams { fps: 0, ..ok };
+        assert_eq!(zero_fps.validate(), Err(ParamsError::ZeroFps));
+        let zero_rate = VideoParams {
+            bit_rate_bps: 0,
+            ..ok
+        };
+        assert_eq!(zero_rate.validate(), Err(ParamsError::ZeroBitRate));
+        let empty = VideoParams {
+            duration: SimDuration::ZERO,
+            ..ok
+        };
+        assert_eq!(empty.validate(), Err(ParamsError::NoFrames));
+        let huge = VideoParams {
+            bit_rate_bps: 2_000_000_000,
+            ..ok
+        };
+        assert_eq!(
+            huge.validate(),
+            Err(ParamsError::GopTooLarge {
+                bit_rate_bps: 2_000_000_000
+            })
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow the u32 frame offsets")]
+    fn unvalidated_oversized_gop_fails_loudly() {
+        // 1 Tbit/s: a mean GOP of 62.5 GB cannot be offset in 32 bits.
+        let params = VideoParams {
+            bit_rate_bps: 1_000_000_000_000,
+            duration: SimDuration::from_millis(500),
+            ..VideoParams::default()
+        };
+        Video::generate(VideoId(0), params, 1);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! track random-access queries exactly. Driven by the deterministic
 //! [`SimRng`] so failures reproduce from the printed seed.
 
-use spiffi_mpeg::{PlayCursor, Video, VideoId, VideoParams};
+use spiffi_mpeg::{PlayCursor, Video, VideoId, VideoParams, GOP_LEN};
 use spiffi_simcore::{SimDuration, SimRng};
 
 fn random_video(rng: &mut SimRng) -> (Video, u64) {
@@ -134,5 +134,87 @@ fn bit_rate_within_tolerance() {
             (rate - 4_000_000.0).abs() < 600_000.0,
             "seed {seed}: rate {rate} for {secs}s clip"
         );
+    }
+}
+
+/// The flat `u64` cumulative index `[0, s₀, s₀+s₁, …, total]` rebuilt
+/// from the regenerated frame sizes: the reference the two-level index
+/// must reproduce.
+fn flat_cumulative(v: &Video) -> Vec<u64> {
+    let mut cum = vec![0u64];
+    for g in 0..v.num_gops() {
+        let first = g * GOP_LEN as u64;
+        let present = (v.num_frames() - first).min(GOP_LEN as u64) as usize;
+        for &s in &v.gop_frame_sizes(g)[..present] {
+            cum.push(cum.last().unwrap() + s);
+        }
+    }
+    cum
+}
+
+/// Every lookup of the two-level index agrees with the flat reference:
+/// `cum_bytes_at_frame` at every frame, `frame_at_byte` at the first and
+/// last byte of every frame (so at every GOP boundary and both ends of the
+/// title), and a full cursor walk.
+#[test]
+fn two_level_index_matches_flat_reference() {
+    // 1.2 s and 61.1 s end on a partial GOP (36 = 2·15 + 6 and
+    // 1833 = 122·15 + 3 frames); 61 s ends on a whole one.
+    let durations = [
+        SimDuration::from_millis(1200),
+        SimDuration::from_secs(61),
+        SimDuration::from_millis(61_100),
+    ];
+    for bit_rate_bps in [4_000_000, 15_000_000] {
+        for duration in durations {
+            for seed in 0..4u64 {
+                let params = VideoParams {
+                    bit_rate_bps,
+                    duration,
+                    ..VideoParams::default()
+                };
+                let v = Video::generate(VideoId(seed as u32 * 7), params, 0x5eed ^ seed);
+                let ctx = format!("{bit_rate_bps} bit/s, {duration:?}, seed {seed}");
+                let flat = flat_cumulative(&v);
+                let frames = v.num_frames();
+                assert_eq!(flat.len() as u64, frames + 1, "{ctx}");
+                assert_eq!(*flat.last().unwrap(), v.total_bytes(), "{ctx}");
+
+                for f in 0..=frames {
+                    assert_eq!(
+                        v.cum_bytes_at_frame(f),
+                        flat[f as usize],
+                        "{ctx}: frame {f}"
+                    );
+                }
+                assert_eq!(v.cum_bytes_at_frame(frames + 5), v.total_bytes(), "{ctx}");
+
+                for f in 0..frames {
+                    let (start, end) = (flat[f as usize], flat[f as usize + 1]);
+                    assert_eq!(v.frame_at_byte(start), f, "{ctx}: first byte of {f}");
+                    assert_eq!(v.frame_at_byte(end - 1), f, "{ctx}: last byte of {f}");
+                }
+                assert_eq!(v.frame_at_byte(v.total_bytes()), frames - 1, "{ctx}");
+
+                let mut cursor = PlayCursor::new(&v, 0);
+                for f in 0..frames {
+                    let i = f as usize;
+                    assert_eq!(cursor.frame(), f, "{ctx}");
+                    assert_eq!(cursor.bytes_before_frame(), flat[i], "{ctx}: frame {f}");
+                    assert_eq!(
+                        cursor.bytes_through_frame(),
+                        flat[i + 1],
+                        "{ctx}: frame {f}"
+                    );
+                    assert_eq!(
+                        cursor.frame_size(),
+                        flat[i + 1] - flat[i],
+                        "{ctx}: frame {f}"
+                    );
+                    cursor.advance(&v);
+                }
+                assert!(cursor.at_end(&v), "{ctx}");
+            }
+        }
     }
 }

@@ -19,17 +19,21 @@
 //!   confidence intervals (the paper's "90% confident within 5%"
 //!   methodology), time-weighted utilization tracking for disks and CPUs,
 //!   and bucketed rate tracking for peak network bandwidth (Figure 18).
+//! * [`fan_out`] — an index-slotted parallel map whose output is
+//!   identical at any thread count.
 
 #![warn(missing_docs)]
 
 pub mod calendar;
 pub mod dist;
 pub mod hash;
+pub mod par;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
 pub use calendar::Calendar;
 pub use hash::{FastHashMap, FastHashSet};
+pub use par::fan_out;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

@@ -134,6 +134,14 @@ fn bad_flags_are_rejected_with_nonzero_exit() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("invalid configuration"), "{err}");
 
+    // Zero-length titles have no frames to play; the simulator used to
+    // hang on them instead of refusing the configuration.
+    let out = cli(&["simulate", "--video-secs", "0"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("invalid configuration"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+
     // A malformed capacity search is refused before any probe runs: zero
     // replications used to pass every probe vacuously, and an inverted
     // bracket or a zero step used to panic with a backtrace.
