@@ -516,10 +516,7 @@ impl<P: Probe> VodSystem<P> {
             .collect();
         let selector = TitleSelector::new(cfg.access, cfg.n_videos);
 
-        // Steady state holds a few pending events per terminal (wake,
-        // in-flight I/O, prefetch); pre-size the calendar to skip its
-        // early growth reallocations.
-        let mut cal = Calendar::with_capacity(8 * cfg.n_terminals as usize);
+        let mut cal = Calendar::new();
         // Staggered starts (§6): "the terminals start movies at random
         // intervals." Each terminal's join instant is the first draw of
         // its own RNG stream, so the set of other terminals never shifts
@@ -729,9 +726,8 @@ impl<P: Probe> VodSystem<P> {
     /// Process every event strictly before `at`, then stand the clock on
     /// `at`.
     fn replay_before(&mut self, at: SimTime) {
-        // pop_before locates the minimum once per event (the peek-compare
-        // result stays memoized inside the calendar when the bound refuses
-        // it), instead of the peek-then-pop double traversal.
+        // pop_before locates the minimum once per event instead of the
+        // peek-then-pop double traversal.
         while let Some((_, ev)) = self.cal.pop_before(at) {
             self.events_processed += 1;
             self.dispatch(ev);

@@ -309,8 +309,9 @@ impl Terminal {
             // Priming (or just started): assume display starts now.
             _ => virtual_origin(video, self.base_frame, cursor.frame(), now),
         };
+        // Requested blocks lie within one terminal buffer of the cursor.
         let first_frame = video
-            .frame_at_byte(block as u64 * block_bytes)
+            .frame_at_byte_near(block as u64 * block_bytes, cursor.frame())
             .max(self.base_frame);
         display_time(video, origin, self.base_frame, first_frame)
     }
@@ -410,7 +411,7 @@ impl Terminal {
                 let stop = video
                     .first_frame_after(played)
                     .min(self.next_pause_frame)
-                    .min(self.data_stop.frame(video, self.contiguous_end));
+                    .min(self.data_stop.frame(video, self.contiguous_end, frame));
                 debug_assert!(stop > frame, "bulk pump advance must make progress");
                 cursor.seek(video, stop);
             } else {
@@ -486,7 +487,9 @@ impl Terminal {
 
                 // Moment the contiguous data runs dry (potential glitch),
                 // or the end of the title if everything is buffered.
-                let dry_frame = self.data_stop.frame(video, self.contiguous_end);
+                let dry_frame = self
+                    .data_stop
+                    .frame(video, self.contiguous_end, cursor.frame());
                 consider(display_time(video, origin, self.base_frame, dry_frame));
 
                 // Moment enough frames will have been displayed to free
@@ -498,7 +501,7 @@ impl Terminal {
                         .saturating_sub(self.capacity);
                     if target > cursor.bytes_before_frame() {
                         // First frame k with cum(k+1) ≥ target.
-                        let k = video.frame_at_byte(target - 1);
+                        let k = video.frame_at_byte_near(target - 1, cursor.frame());
                         consider(display_time(video, origin, self.base_frame, k));
                     }
                 }
@@ -520,7 +523,7 @@ impl Terminal {
 ///
 /// The bulk pump advance and the next-wake computation both need it on
 /// every playing pump, but the prefix only moves on block arrival, so the
-/// `frame_at_byte` lookup behind it reruns only when the prefix has moved.
+/// byte-to-frame lookup behind it reruns only when the prefix has moved.
 #[derive(Clone, Copy, Debug)]
 struct DataStop {
     frame: u64,
@@ -535,17 +538,18 @@ impl DataStop {
         end: u64::MAX,
     };
 
-    /// The first frame of `video` not fully inside `[0, contiguous_end)`.
-    /// Once the prefix covers the whole title the data never stops
-    /// playback, so the answer is `num_frames` (`frame_at_byte` would
-    /// clamp to the last frame instead).
+    /// The first frame of `video` not fully inside `[0, contiguous_end)`,
+    /// searched from `cursor_frame`: the prefix ends at most one terminal
+    /// buffer ahead of the cursor. Once the prefix covers the whole title
+    /// the data never stops playback, so the answer is `num_frames`
+    /// (the lookup would clamp to the last frame instead).
     #[inline]
-    fn frame(&mut self, video: &Video, contiguous_end: u64) -> u64 {
+    fn frame(&mut self, video: &Video, contiguous_end: u64, cursor_frame: u64) -> u64 {
         if self.end != contiguous_end {
             self.frame = if contiguous_end >= video.total_bytes() {
                 video.num_frames()
             } else {
-                video.frame_at_byte(contiguous_end)
+                video.frame_at_byte_near(contiguous_end, cursor_frame)
             };
             self.end = contiguous_end;
         }

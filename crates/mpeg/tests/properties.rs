@@ -218,3 +218,61 @@ fn two_level_index_matches_flat_reference() {
         }
     }
 }
+
+/// `frame_at_byte_near` answers exactly what `frame_at_byte` answers, for
+/// any byte and any hint: bytes at and past the end of the title, hints
+/// far from the byte in either direction and hints past the last frame.
+#[test]
+fn frame_at_byte_near_matches_frame_at_byte() {
+    // A full one-hour title, a title ending on a partial GOP (36 = 2·15 + 6
+    // frames) and one-GOP titles, whole (15 frames) and partial (6).
+    let durations = [
+        SimDuration::from_secs(3600),
+        SimDuration::from_millis(1200),
+        SimDuration::from_millis(500),
+        SimDuration::from_millis(200),
+    ];
+    for (n, duration) in durations.into_iter().enumerate() {
+        let params = VideoParams {
+            duration,
+            ..VideoParams::default()
+        };
+        let v = Video::generate(VideoId(n as u32), params, 0xfa57 + n as u64);
+        let (total, frames) = (v.total_bytes(), v.num_frames());
+        let mut rng = SimRng::stream(0x6a11, n as u64);
+        for i in 0..20_000u64 {
+            // A random magnitude for the out-of-range draws, up to 2⁶³.
+            let far = 1u64 << (rng.index(63) + 1);
+            let byte = match i % 4 {
+                // Past the end, up to the far edge of the key space.
+                0 => total + rng.u64_below(far),
+                _ => rng.u64_below(total),
+            };
+            let near = match i % 5 {
+                // Hints past the last frame.
+                0 => frames + rng.u64_below(far),
+                // Hints close to the byte's own frame, as the terminals pass.
+                1 | 2 => {
+                    let f = v.frame_at_byte(byte) as i64 + rng.u64_below(400) as i64 - 200;
+                    f.max(0) as u64
+                }
+                _ => rng.u64_below(frames),
+            };
+            assert_eq!(
+                v.frame_at_byte_near(byte, near),
+                v.frame_at_byte(byte),
+                "{duration:?}: byte {byte} near frame {near}"
+            );
+        }
+        // Both ends of the title, from both ends of the hint range.
+        for byte in [0, total - 1, total, u64::MAX] {
+            for near in [0, frames - 1, frames, u64::MAX] {
+                assert_eq!(
+                    v.frame_at_byte_near(byte, near),
+                    v.frame_at_byte(byte),
+                    "{duration:?}: byte {byte} near frame {near}"
+                );
+            }
+        }
+    }
+}

@@ -30,10 +30,11 @@
 #![warn(missing_docs)]
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{BinaryHeap, VecDeque};
 
 use spiffi_layout::BlockAddr;
-use spiffi_simcore::{SimDuration, SimTime};
+use spiffi_simcore::{FastHashMap, SimDuration, SimTime};
 
 /// One queued prefetch: the block to fetch and the deadline the true
 /// request for it is estimated to carry.
@@ -151,12 +152,20 @@ pub struct PrefetchStats {
 }
 
 /// One disk's prefetch queue and process pool.
+///
+/// Cancellation is lazy: [`PrefetchQueue::cancel`] only forgets the block
+/// in `queued_blocks`, and the cancelled entry stays in the FIFO or heap
+/// until it reaches the front, where [`PrefetchQueue::try_issue`] drops
+/// it. An entry is live iff `queued_blocks` maps its block to its own
+/// sequence number, so an entry left behind by a cancel never issues,
+/// even after its block is queued again.
 #[derive(Clone, Debug)]
 pub struct PrefetchQueue {
     kind: PrefetchKind,
-    fifo: VecDeque<PrefetchRequest>,
+    fifo: VecDeque<(u64, PrefetchRequest)>,
     by_deadline: BinaryHeap<Reverse<(SimTime, u64, PrefetchEntry)>>,
-    queued_blocks: HashSet<BlockAddr>,
+    /// Each queued block's live entry, by sequence number.
+    queued_blocks: FastHashMap<BlockAddr, u64>,
     seq: u64,
     active: u32,
     stats: PrefetchStats,
@@ -186,7 +195,7 @@ impl PrefetchQueue {
             kind,
             fifo: VecDeque::new(),
             by_deadline: BinaryHeap::new(),
-            queued_blocks: HashSet::new(),
+            queued_blocks: FastHashMap::default(),
             seq: 0,
             active: 0,
             stats: PrefetchStats::default(),
@@ -200,7 +209,7 @@ impl PrefetchQueue {
 
     /// Queued (not yet issued) prefetches.
     pub fn len(&self) -> usize {
-        self.fifo.len() + self.by_deadline.len()
+        self.queued_blocks.len()
     }
 
     /// True if no prefetches are queued.
@@ -225,16 +234,17 @@ impl PrefetchQueue {
         if matches!(self.kind, PrefetchKind::Off) {
             return;
         }
-        if !self.queued_blocks.insert(req.block) {
+        let Entry::Vacant(slot) = self.queued_blocks.entry(req.block) else {
             self.stats.deduplicated += 1;
             return;
-        }
+        };
+        let seq = self.seq;
+        self.seq += 1;
+        slot.insert(seq);
         self.stats.enqueued += 1;
         match self.kind {
-            PrefetchKind::Standard { .. } => self.fifo.push_back(req),
+            PrefetchKind::Standard { .. } => self.fifo.push_back((seq, req)),
             PrefetchKind::RealTime { .. } | PrefetchKind::Delayed { .. } => {
-                let seq = self.seq;
-                self.seq += 1;
                 self.by_deadline
                     .push(Reverse((req.estimated_deadline, seq, PrefetchEntry(req))));
             }
@@ -244,32 +254,35 @@ impl PrefetchQueue {
 
     /// Drop a queued prefetch for `block` (a real request beat it); no-op
     /// if the block is not queued. Returns true if something was removed.
+    /// O(1): the entry itself is dropped later, when it reaches the front.
     pub fn cancel(&mut self, block: BlockAddr) -> bool {
-        if !self.queued_blocks.remove(&block) {
+        if self.queued_blocks.remove(&block).is_none() {
             return false;
         }
         self.stats.cancelled += 1;
-        match self.kind {
-            PrefetchKind::Standard { .. } => {
-                let pos = self
-                    .fifo
-                    .iter()
-                    .position(|r| r.block == block)
-                    .expect("queued_blocks tracked a missing fifo entry");
-                self.fifo.remove(pos);
-            }
-            _ => {
-                // Lazy deletion from the heap: rebuild without the block.
-                // Cancellation is rare (demand beat the prefetch), so the
-                // O(n) rebuild is acceptable.
-                let drained = std::mem::take(&mut self.by_deadline);
-                self.by_deadline = drained
-                    .into_iter()
-                    .filter(|Reverse((_, _, e))| e.0.block != block)
-                    .collect();
-            }
-        }
         true
+    }
+
+    /// Whether the entry `(seq, block)` is still queued, not cancelled.
+    fn is_live(&self, seq: u64, block: BlockAddr) -> bool {
+        self.queued_blocks.get(&block) == Some(&seq)
+    }
+
+    /// Pop cancelled entries off the front of the FIFO and the heap, so
+    /// that each front is a live entry or the structure is empty.
+    fn drop_stale_heads(&mut self) {
+        while let Some(&(seq, req)) = self.fifo.front() {
+            if self.is_live(seq, req.block) {
+                break;
+            }
+            self.fifo.pop_front();
+        }
+        while let Some(&Reverse((_, seq, e))) = self.by_deadline.peek() {
+            if self.is_live(seq, e.0.block) {
+                break;
+            }
+            self.by_deadline.pop();
+        }
     }
 
     /// Ask for the next prefetch to issue at time `now`.
@@ -277,11 +290,12 @@ impl PrefetchQueue {
         if self.active >= self.kind.processes() {
             return IssueDecision::Idle;
         }
+        self.drop_stale_heads();
         match self.kind {
             PrefetchKind::Off => IssueDecision::Idle,
             PrefetchKind::Standard { .. } => match self.fifo.pop_front() {
                 None => IssueDecision::Idle,
-                Some(req) => {
+                Some((_, req)) => {
                     self.issue_bookkeeping(req);
                     IssueDecision::Issue {
                         request: req,

@@ -7,19 +7,41 @@
 //! event's time, and scheduling into the past is a programming error that
 //! panics rather than silently reordering causality.
 //!
-//! The queue is a calendar queue (Brown 1988, the structure DESP-C++'s
-//! event list builds on): an array of power-of-two-wide time buckets
-//! addressed by `(time >> shift) & mask`. Event times in a simulation like
-//! SPIFFI's are overwhelmingly near-future (frame ticks, disk completions,
-//! pump wakeups), so a pop takes the front of one sorted, mostly-singleton
-//! bucket and a schedule appends to one — amortized O(1) against a binary
-//! heap's O(log n) pointer-chasing sift. Bucket width and count adapt to
-//! the observed event-horizon distribution (see `BucketQueue::rebuild`'s
-//! rationale). A stable binary heap over the same `(time, seq)` order
-//! survives only as the reference model of the differential test
+//! The queue is a radix heap (Ahuja, Mehlhorn, Orlin and Tarjan 1990) over
+//! the 128-bit key `time << 64 | seq`. It relies on the calendar being
+//! monotone: no pending key is ever below the last popped key `last`. A
+//! key lives in bucket 0 if it equals `last`, otherwise in bucket
+//! `1 + i`, where `i` is the highest bit in which it differs from `last`.
+//! Every key in a lower bucket is smaller than every key in a higher one,
+//! so the minimum is in the lowest non-empty bucket, which a `u128`
+//! occupancy mask finds with one `trailing_zeros`. A pop scans that
+//! bucket for its minimum, makes it the new `last` and moves the
+//! bucket's other entries down to the buckets they now belong to; each
+//! entry moves down at most once per bit of the key. A schedule is one
+//! `leading_zeros` and one `Vec::push`.
+//!
+//! The bounded pops ([`Calendar::pop_until`], [`Calendar::pop_before`])
+//! and [`Calendar::peek_time`] locate the minimum without moving `last`,
+//! and only a pop that the bound accepts makes it the new `last`. Moving
+//! `last` on a refusal would break the invariant: the clock stays put, so
+//! the caller may still schedule between `now` and the refused minimum,
+//! below a `last` that had already jumped to it.
+//!
+//! The radix heap replaced a self-tuning calendar queue (Brown 1988). On
+//! `steady_16k`'s recorded calendar traffic (5.47M operations, 2.72M
+//! pops) the calendar queue inserted 60% of its events mid-bucket, behind
+//! far-future entries that had wrapped around its wheel, and popped from
+//! buckets of 4.9 entries on average where its design intended one. In
+//! a replay of that traffic alone the radix heap took 79–109 ns per hold
+//! against 85–127 ns, scanning buckets of 5.2 entries per pop. The gain
+//! inside the event loop is larger, which points at footprint rather than
+//! operation count: the calendar queue pre-sized its wheel from the
+//! terminal count (131,072 deque headers, 4 MiB, for 16k terminals),
+//! where the radix heap holds 129 vectors and the entries themselves.
+//!
+//! A stable binary heap over the same `(time, seq)` order survives as the
+//! reference model of the differential test
 //! (`tests/calendar_differential.rs`).
-
-use std::collections::VecDeque;
 
 use crate::time::{SimDuration, SimTime};
 
@@ -40,7 +62,15 @@ use crate::time::{SimDuration, SimTime};
 /// ```
 #[derive(Clone, Debug)]
 pub struct Calendar<E> {
-    queue: BucketQueue<E>,
+    /// `BUCKETS` radix buckets, unordered within each.
+    buckets: Vec<Vec<Entry<E>>>,
+    /// Bit `b - 1` is set iff bucket `b >= 1` is non-empty. Bucket 0 is
+    /// outside the mask: it can only hold a key equal to `last`, which
+    /// happens solely for the first event at t = 0 before any pop.
+    occupied: u128,
+    /// The last popped key (0 before the first pop). No pending key is
+    /// below it.
+    last: u128,
     now: SimTime,
     seq: u64,
     scheduled_total: u64,
@@ -54,337 +84,16 @@ struct Entry<E> {
     event: E,
 }
 
-/// Location and key of the pending minimum, memoized between a scan and
-/// the pop (or repeated bounded pops) that consumes it. Buckets are kept
-/// sorted, so the minimum is always its bucket's front entry.
-#[derive(Clone, Copy, Debug)]
-struct CachedMin {
-    bucket: usize,
-    time: SimTime,
-    seq: u64,
+impl<E> Entry<E> {
+    /// The radix key `time << 64 | seq`, ordered like `(time, seq)`.
+    #[inline]
+    fn key(&self) -> u128 {
+        (u128::from(self.time.0) << 64) | u128::from(self.seq)
+    }
 }
 
-/// The calendar queue. Bucket for time `t` is
-/// `(t >> shift) & mask`; one "day" is the `1 << shift` ns a bucket spans,
-/// one "year" is a full trip around the wheel.
-///
-/// Each bucket is a `(time, seq)`-sorted deque, which is what makes the
-/// queue robust on SPIFFI-like workloads: the bucket minimum is the
-/// front (a pop never re-scans the bucket, so thousands of events massed
-/// on one instant still pop in O(1) each), and a freshly scheduled event
-/// at an already-occupied instant carries a larger `seq` than everything
-/// before it, so the tie lands as an O(1) back append. Only an insert
-/// strictly inside a bucket's sorted run pays a shift, and the width
-/// adaptation exists precisely to keep those runs near length one.
-#[derive(Clone, Debug)]
-struct BucketQueue<E> {
-    buckets: Vec<VecDeque<Entry<E>>>,
-    /// Occupancy bitmap: bit `i` is set iff `buckets[i]` is non-empty.
-    /// The scan cursor crosses runs of empty days with `trailing_zeros`
-    /// over these words (8 KB per 64 k buckets, L1/L2-resident) instead
-    /// of loading one cold deque header per day — at large populations
-    /// that header walk, not the pops, is where the wheel lost to a
-    /// binary heap.
-    occupied: Vec<u64>,
-    /// `buckets.len() - 1`; the count is always a power of two.
-    mask: u64,
-    /// log2 of the bucket width in nanoseconds.
-    shift: u32,
-    /// The day the scan cursor stands on. Invariant: no pending event has
-    /// an earlier day, so the cursor only ever skips confirmed-empty time.
-    cur_day: u64,
-    /// Memoized minimum; cleared by any removal or rebuild.
-    cached: Option<CachedMin>,
-    /// Pops since the wheel was last rebuilt.
-    pops: u64,
-    /// Layout-mismatch work since the wheel was last rebuilt: empty days
-    /// the scan cursor crossed (bucket width too small) plus entries
-    /// displaced by mid-bucket inserts (bucket width too large). A width
-    /// re-plan triggers only once this exceeds both the per-pop budget
-    /// and the rebuild's own cost — the second bound amortizes rebuilds
-    /// and stops a plan that cannot improve from rebuilding in a loop.
-    work: u64,
-}
-
-/// Initial / minimum bucket count. At least 64 so the occupancy bitmap
-/// covers exactly `buckets.len()` bits in whole words and wrap arithmetic
-/// stays bit-index = bucket-index.
-const MIN_BUCKETS: usize = 64;
-/// Maximum bucket count (2^20 buckets ≈ 24 MB of headers; beyond this the
-/// per-bucket win has flattened out).
-const MAX_BUCKETS: usize = 1 << 20;
-/// Initial bucket width: 2^20 ns ≈ 1 ms, a sane starting guess for a
-/// millisecond-scale workload; adapted from observed behaviour thereafter.
-const INITIAL_SHIFT: u32 = 20;
-/// Average layout-mismatch work per pop above which the layout is
-/// re-planned. Deliberately tight: a wheel planned during an atypical
-/// phase (e.g. the stagger ramp, whose span is ~100x the steady-state
-/// event horizon) wastes only a few displaced entries per pop, and a
-/// lax threshold lets that stale layout survive the whole run.
-const WORK_PER_POP_LIMIT: u64 = 2;
-
-impl<E> BucketQueue<E> {
-    fn with_capacity(capacity: usize) -> Self {
-        let n = capacity.next_power_of_two().clamp(MIN_BUCKETS, MAX_BUCKETS);
-        BucketQueue {
-            buckets: (0..n).map(|_| VecDeque::new()).collect(),
-            occupied: vec![0; n / 64],
-            mask: n as u64 - 1,
-            shift: INITIAL_SHIFT,
-            cur_day: 0,
-            cached: None,
-            pops: 0,
-            work: 0,
-        }
-    }
-
-    #[inline]
-    fn day_of(&self, t: SimTime) -> u64 {
-        t.0 >> self.shift
-    }
-
-    #[inline]
-    fn insert(&mut self, time: SimTime, seq: u64, event: E) {
-        let day = self.day_of(time);
-        // An insert below the cursor (always still >= `now`) pulls the
-        // cursor back so the scan cannot skip it.
-        if day < self.cur_day {
-            self.cur_day = day;
-        }
-        let idx = (day & self.mask) as usize;
-        let bucket = &mut self.buckets[idx];
-        // Sorted insert. `seq` increases monotonically, so the common
-        // cases — a later time, or a tie at an occupied instant — append;
-        // and an event a year or more nearer than a bucket's wrapped
-        // far-future content lands at the front, which a deque also
-        // inserts in O(1).
-        if bucket
-            .back()
-            .is_none_or(|last| (last.time, last.seq) < (time, seq))
-        {
-            bucket.push_back(Entry { time, seq, event });
-        } else {
-            let pos = bucket.partition_point(|e| (e.time, e.seq) < (time, seq));
-            // Entries actually shifted (the deque moves the shorter side)
-            // are the width-too-large signal for the rebuilder.
-            self.work += pos.min(bucket.len() - pos) as u64;
-            bucket.insert(pos, Entry { time, seq, event });
-        }
-        self.occupied[idx >> 6] |= 1 << (idx & 63);
-        if let Some(c) = self.cached {
-            if (time, seq) < (c.time, c.seq) {
-                self.cached = Some(CachedMin {
-                    bucket: idx,
-                    time,
-                    seq,
-                });
-            }
-        }
-    }
-
-    /// Locate the pending minimum, advancing the cursor past empty days.
-    /// `len` is the caller-tracked entry count and must be non-zero.
-    ///
-    /// Buckets are sorted, so only each bucket's front can be its
-    /// minimum; and because no entry's day precedes the cursor, a front
-    /// belonging to the cursor's day is the global minimum — a front from
-    /// a *later* day that wrapped into the same bucket is skipped by the
-    /// day check until the cursor's year comes around.
-    fn find_min(&mut self, len: usize) -> CachedMin {
-        if let Some(c) = self.cached {
-            return c;
-        }
-        debug_assert!(len > 0);
-        let n_buckets = self.buckets.len() as u64;
-        let mut visited = 0u64;
-        let found = loop {
-            // Cross the run of empty days in front of the cursor via the
-            // bitmap. The run length is also the width-too-small signal
-            // for the rebuilder — the *layout* waste is the same whether
-            // the walk itself is cheap or not.
-            let skipped = self.next_occupied_distance((self.cur_day & self.mask) as usize);
-            self.work += skipped;
-            self.cur_day += skipped;
-            visited += skipped;
-            let idx = (self.cur_day & self.mask) as usize;
-            let e = self.buckets[idx]
-                .front()
-                .expect("occupied bit on empty bucket");
-            if e.time.0 >> self.shift == self.cur_day {
-                break CachedMin {
-                    bucket: idx,
-                    time: e.time,
-                    seq: e.seq,
-                };
-            }
-            // Occupied, but only by far-future entries that wrapped into
-            // this bucket from a later year: step past it.
-            self.work += 1;
-            self.cur_day += 1;
-            visited += 1;
-            if visited > n_buckets {
-                // A whole year of days holds nothing current: the next
-                // event is far out. Jump the cursor straight to the global
-                // minimum instead of crawling year by year.
-                let c = self.scan_global_min().expect("len > 0 but no entries");
-                self.cur_day = self.day_of(c.time);
-                break c;
-            }
-        };
-        self.cached = Some(found);
-        found
-    }
-
-    /// Days from the bucket at `start` to the nearest non-empty bucket at
-    /// or after it, wrapping around the wheel (0 if `start` itself is
-    /// occupied). Must only be called while some bucket is non-empty.
-    #[inline]
-    fn next_occupied_distance(&self, start: usize) -> u64 {
-        let first = self.occupied[start >> 6] >> (start & 63);
-        if first != 0 {
-            return first.trailing_zeros() as u64;
-        }
-        let mut dist = 64 - (start & 63) as u64;
-        let mut w = start >> 6;
-        loop {
-            w += 1;
-            if w == self.occupied.len() {
-                w = 0;
-            }
-            let word = self.occupied[w];
-            if word != 0 {
-                return dist + word.trailing_zeros() as u64;
-            }
-            dist += 64;
-        }
-    }
-
-    /// Scan every bucket front for the global minimum (cold fallback and
-    /// `peek` on an unmemoized queue). O(buckets), not O(entries): each
-    /// bucket's minimum is its front.
-    fn scan_global_min(&self) -> Option<CachedMin> {
-        let mut best: Option<CachedMin> = None;
-        for (idx, bucket) in self.buckets.iter().enumerate() {
-            if let Some(e) = bucket.front() {
-                if best.is_none_or(|b| (e.time, e.seq) < (b.time, b.seq)) {
-                    best = Some(CachedMin {
-                        bucket: idx,
-                        time: e.time,
-                        seq: e.seq,
-                    });
-                }
-            }
-        }
-        best
-    }
-
-    /// Remove the memoized minimum found by [`BucketQueue::find_min`].
-    fn remove(&mut self, c: CachedMin) -> E {
-        self.cached = None;
-        let bucket = &mut self.buckets[c.bucket];
-        let e = bucket.pop_front().expect("cached minimum vanished");
-        debug_assert!((e.time, e.seq) == (c.time, c.seq));
-        match bucket.front() {
-            // Whenever a minimum is memoized, its day is the cursor's day,
-            // and every entry of that day lives in this one bucket — so a
-            // successor still on the cursor's day is already the next
-            // global minimum, and the following pop skips its scan.
-            Some(next) if next.time.0 >> self.shift == self.cur_day => {
-                self.cached = Some(CachedMin {
-                    bucket: c.bucket,
-                    time: next.time,
-                    seq: next.seq,
-                });
-            }
-            Some(_) => {}
-            None => self.occupied[c.bucket >> 6] &= !(1 << (c.bucket & 63)),
-        }
-        e.event
-    }
-
-    /// Adaptive maintenance, run once per removal: grow/shrink the wheel
-    /// when occupancy drifts, and re-plan the bucket width when the
-    /// accumulated layout-mismatch work says the current width no longer
-    /// matches the event-horizon distribution.
-    fn maintain(&mut self, len: usize, now: SimTime) {
-        self.pops += 1;
-        let n = self.buckets.len();
-        if (len > 4 * n && n < MAX_BUCKETS) || (len < n / 4 && n > MIN_BUCKETS) {
-            self.rebuild(now);
-        } else if self.work > WORK_PER_POP_LIMIT * self.pops && self.work > 2 * (n + len) as u64 {
-            // The width no longer matches the event-horizon distribution,
-            // and the accumulated waste has already paid for the
-            // O(buckets + n log n) re-plan — so rebuilding is free in the
-            // amortized sense, and a plan that cannot improve (massed
-            // ties, shift jitter) re-triggers only after wasting that
-            // much again, never in a loop.
-            self.rebuild(now);
-        }
-    }
-
-    /// Re-plan the wheel for the current population: bucket count tracks
-    /// the event count at a target occupancy of ~2 (sorted deques make a
-    /// two-deep bucket as cheap as a singleton, and half the buckets
-    /// means half the header footprint the inserts walk), rebuilding when
-    /// occupancy drifts outside [1/4, 4]; bucket width spreads the *body*
-    /// of the pending-time distribution across one year of the wheel, so
-    /// a pop crosses ~one empty day and an insert displaces ~nothing. The
-    /// width is planned from the third quartile of pending
-    /// times, not the full span — a far-future tail (a bimodal horizon
-    /// distribution) would otherwise stretch the buckets so wide that the
-    /// near-future bulk piles into a few giant ones. The tail itself just
-    /// wraps around the wheel: sorted buckets keep wrapped far entries
-    /// *behind* the near ones, and [`BucketQueue::find_min`]'s day check
-    /// ignores a front from a later year.
-    fn rebuild(&mut self, now: SimTime) {
-        // Drain in place rather than dropping the deques: the buckets keep
-        // their warmed-up buffers, so the redistribution below (and the
-        // steady-state inserts after it) don't replay one allocation per
-        // touched bucket on every re-plan.
-        let mut entries: Vec<Entry<E>> = Vec::new();
-        for bucket in &mut self.buckets {
-            entries.extend(bucket.drain(..));
-        }
-        // Ascending (time, seq) order, so per-bucket appends below keep
-        // every bucket sorted.
-        entries.sort_unstable_by_key(|e| (e.time, e.seq));
-        let len = entries.len();
-        let n = (len / 2)
-            .next_power_of_two()
-            .clamp(MIN_BUCKETS, MAX_BUCKETS);
-        let q_span = match (entries.first(), entries.get(len.saturating_mul(3) / 4)) {
-            (Some(first), Some(q3)) => q3.time.0 - first.time.0,
-            (Some(first), None) => entries[len - 1].time.0 - first.time.0,
-            _ => 0,
-        };
-        let width = (q_span / (3 * n as u64 / 4)).max(1);
-        // Floor log2: widths are powers of two so bucket addressing is a
-        // shift-and-mask, never a division.
-        let shift = 63 - width.leading_zeros();
-        let mask = n as u64 - 1;
-        let cur_day = entries
-            .first()
-            .map_or(now.0 >> shift, |e| e.time.0 >> shift);
-        if n != self.buckets.len() {
-            // Growing keeps every existing buffer; shrinking frees only
-            // the dropped tail's.
-            self.buckets.resize_with(n, VecDeque::new);
-        }
-        self.occupied.clear();
-        self.occupied.resize(n / 64, 0);
-        for e in entries {
-            let idx = ((e.time.0 >> shift) & mask) as usize;
-            self.occupied[idx >> 6] |= 1 << (idx & 63);
-            self.buckets[idx].push_back(e);
-        }
-        self.mask = mask;
-        self.shift = shift;
-        self.cur_day = cur_day;
-        self.cached = None;
-        self.pops = 0;
-        self.work = 0;
-    }
-}
+/// One bucket per bit of the key, plus bucket 0 for a key equal to `last`.
+const BUCKETS: usize = 129;
 
 impl<E> Default for Calendar<E> {
     fn default() -> Self {
@@ -395,21 +104,23 @@ impl<E> Default for Calendar<E> {
 impl<E> Calendar<E> {
     /// An empty calendar with the clock at t = 0.
     pub fn new() -> Self {
-        Self::with_capacity(0)
-    }
-
-    /// An empty calendar pre-sized for `capacity` pending events, so a
-    /// caller that knows its steady-state event population (roughly a
-    /// handful per active terminal) avoids the queue's early growth
-    /// reallocations.
-    pub fn with_capacity(capacity: usize) -> Self {
         Calendar {
-            queue: BucketQueue::with_capacity(capacity),
+            buckets: (0..BUCKETS).map(|_| Vec::new()).collect(),
+            occupied: 0,
+            last: 0,
             now: SimTime::ZERO,
             seq: 0,
             scheduled_total: 0,
             len: 0,
         }
+    }
+
+    /// An empty calendar for about `capacity` pending events. The size is
+    /// only a hint, and the radix heap ignores it: its buckets grow on
+    /// demand and keep their buffers, so nothing needs pre-sizing.
+    pub fn with_capacity(capacity: usize) -> Self {
+        let _ = capacity;
+        Self::new()
     }
 
     /// Current simulated time.
@@ -442,21 +153,58 @@ impl<E> Calendar<E> {
         self.push_at(self.now, event);
     }
 
-    /// The checked-in-common tail of every schedule path.
+    /// The checked-in-common tail of every schedule path. `at >= now`
+    /// and a fresh `seq` make the key exceed `last` (or equal it only for
+    /// the very first event at t = 0).
     #[inline]
     fn push_at(&mut self, at: SimTime, event: E) {
         let seq = self.seq;
         self.seq += 1;
         self.scheduled_total += 1;
         self.len += 1;
-        let q = &mut self.queue;
-        q.insert(at, seq, event);
-        // Growth is insert-driven: a long schedule burst (system
-        // construction adding thousands of terminals) must not degrade
-        // into long bucket chains before the next pop.
-        if self.len > 4 * q.buckets.len() && q.buckets.len() < MAX_BUCKETS {
-            q.rebuild(self.now);
+        self.insert(Entry {
+            time: at,
+            seq,
+            event,
+        });
+    }
+
+    /// The bucket a key belongs to relative to `last`.
+    #[inline]
+    fn bucket_of(&self, key: u128) -> usize {
+        debug_assert!(key >= self.last, "calendar key below the last pop");
+        (128 - (key ^ self.last).leading_zeros()) as usize
+    }
+
+    #[inline]
+    fn insert(&mut self, e: Entry<E>) {
+        let b = self.bucket_of(e.key());
+        if b > 0 {
+            self.occupied |= 1 << (b - 1);
         }
+        self.buckets[b].push(e);
+    }
+
+    /// The bucket and index of the pending minimum, without moving
+    /// `last`. The calendar must not be empty.
+    #[inline]
+    fn locate_min(&self) -> (usize, usize) {
+        debug_assert!(self.len > 0);
+        if !self.buckets[0].is_empty() {
+            return (0, 0);
+        }
+        let b = self.occupied.trailing_zeros() as usize + 1;
+        let bucket = &self.buckets[b];
+        let mut best = 0;
+        let mut best_key = bucket[0].key();
+        for (i, e) in bucket.iter().enumerate().skip(1) {
+            let k = e.key();
+            if k < best_key {
+                best = i;
+                best_key = k;
+            }
+        }
+        (b, best)
     }
 
     /// Remove and return the next event, advancing the clock to its time.
@@ -472,34 +220,42 @@ impl<E> Calendar<E> {
 
     /// Remove and return the next event only if it fires strictly before
     /// `limit`. The single-pass sibling of peek-compare-pop loops such as
-    /// replaying up to (but excluding) a snapshot boundary.
+    /// replaying up to (but excluding) a late-join boundary.
     pub fn pop_before(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
         self.pop_bounded(limit, false)
     }
 
-    /// Single-pass bounded pop: one scan locates the minimum, the bound is
-    /// checked against it, and the same located slot is removed on
-    /// success — the minimum's position stays memoized for the next call
-    /// when the bound refuses it.
+    /// Single-pass bounded pop: one scan locates the minimum and the bound
+    /// is checked against it. Only an accepted pop moves `last` (see the
+    /// module docs), so a refusal leaves the heap exactly as it was.
     fn pop_bounded(&mut self, limit: SimTime, inclusive: bool) -> Option<(SimTime, E)> {
         if self.len == 0 {
             return None;
         }
-        let q = &mut self.queue;
-        let c = q.find_min(self.len);
-        if if inclusive {
-            c.time > limit
-        } else {
-            c.time >= limit
-        } {
+        let (b, i) = self.locate_min();
+        let time = self.buckets[b][i].time;
+        if time > limit || (!inclusive && time == limit) {
             return None;
         }
-        let event = q.remove(c);
+        let e = self.buckets[b].swap_remove(i);
+        if b > 0 {
+            self.last = e.key();
+            // The bucket's other entries all share `last`'s bits above
+            // bit b - 1 and now differ from it only below, so each one
+            // moves to a strictly lower bucket. Taking the vector out
+            // keeps its buffer for the bucket's next fill.
+            let mut rest = std::mem::take(&mut self.buckets[b]);
+            self.occupied &= !(1 << (b - 1));
+            for moved in rest.drain(..) {
+                debug_assert!(self.bucket_of(moved.key()) < b);
+                self.insert(moved);
+            }
+            self.buckets[b] = rest;
+        }
         self.len -= 1;
-        debug_assert!(c.time >= self.now, "event calendar went backwards");
-        self.now = c.time;
-        q.maintain(self.len, self.now);
-        Some((c.time, event))
+        debug_assert!(time >= self.now, "event calendar went backwards");
+        self.now = time;
+        Some((time, e.event))
     }
 
     /// Time of the next pending event, if any.
@@ -507,12 +263,8 @@ impl<E> Calendar<E> {
         if self.len == 0 {
             return None;
         }
-        // `&self` cannot advance the cursor or memoize; an unmemoized peek
-        // pays a bucket-front scan. Hot loops use the bounded pops instead.
-        match self.queue.cached {
-            Some(c) => Some(c.time),
-            None => self.queue.scan_global_min().map(|c| c.time),
-        }
+        let (b, i) = self.locate_min();
+        Some(self.buckets[b][i].time)
     }
 
     /// Number of pending events.
@@ -675,8 +427,9 @@ mod tests {
 
     #[test]
     fn bucket_kernel_survives_growth_and_wide_horizons() {
-        // Enough far-apart events to force several rebuilds and the
-        // year-empty global-minimum jump; popped order must stay exact.
+        // Near-future clusters mixed with far-future outliers: entries
+        // start in buckets far apart and cascade down through many
+        // redistributions; popped order must stay exact.
         let mut cal = Calendar::new();
         let mut expect = Vec::new();
         for i in 0..5000u64 {
@@ -696,9 +449,8 @@ mod tests {
 
     #[test]
     fn massed_ties_do_not_thrash_the_rebuilder() {
-        // Thousands of events at the same instant: width adaptation cannot
-        // separate them, but sorted buckets make each tie an O(1) append
-        // and an O(1) front pop, so order stays exact at full speed.
+        // Thousands of events at the same instant differ only in `seq`,
+        // so they sort by the low half of the key: insertion order.
         let mut cal = Calendar::new();
         for i in 0..20_000u64 {
             cal.schedule_at(SimTime(5), i);

@@ -1,4 +1,4 @@
-//! Differential property test: the bucket-queue [`Calendar`] against a
+//! Differential property test: the radix-heap [`Calendar`] against a
 //! small stable binary-heap model of the same contract, over randomized
 //! interleavings of every mutating operation. The two must agree on
 //! *everything observable* — pop order (including same-instant tie order),
@@ -257,6 +257,170 @@ fn bucket_and_heap_kernels_are_observationally_identical() {
         }
         assert_eq!(observe(&bucket), observe(&heap), "seed {seed} drained");
     }
+}
+
+/// A calendar and the model driven in lockstep: every op is applied to
+/// both, and their results and observable state must agree after it.
+struct Lockstep {
+    cal: Calendar<u64>,
+    model: HeapModel<u64>,
+    step: u64,
+}
+
+impl Lockstep {
+    fn new() -> Self {
+        Lockstep {
+            cal: Calendar::new(),
+            model: HeapModel::default(),
+            step: 0,
+        }
+    }
+
+    fn op(&mut self, op: Op) -> Option<(SimTime, u64)> {
+        // The step index doubles as the payload, as in the test above.
+        let step = self.step;
+        self.step += 1;
+        let got = apply(&mut self.cal, op, step);
+        assert_eq!(got, apply(&mut self.model, op, step), "step {step} {op:?}");
+        assert_eq!(
+            observe(&self.cal),
+            observe(&self.model),
+            "step {step} {op:?}"
+        );
+        got
+    }
+
+    fn schedule_at(&mut self, t: u64) {
+        self.op(Op::ScheduleAt(SimTime(t)));
+    }
+
+    /// Pop with an absolute inclusive bound.
+    fn pop_until(&mut self, limit: u64) -> Option<(SimTime, u64)> {
+        let d = limit - self.cal.now().0;
+        self.op(Op::PopUntil(SimDuration(d)))
+    }
+
+    /// Pop with an absolute exclusive bound.
+    fn pop_before(&mut self, limit: u64) -> Option<(SimTime, u64)> {
+        let d = limit - self.cal.now().0;
+        self.op(Op::PopBefore(SimDuration(d)))
+    }
+
+    fn drain(&mut self) {
+        while self.op(Op::Pop).is_some() {}
+    }
+}
+
+/// A bounded pop that refuses must leave the calendar able to take events
+/// between `now` and the refused minimum: the refusal may not move the
+/// heap's reference key up to that minimum.
+#[test]
+fn refused_bounded_pops_admit_earlier_schedules() {
+    for seed in 0..64u64 {
+        let mut rng = SimRng::stream(0x4ef05e, seed);
+        let mut ls = Lockstep::new();
+        // A populated calendar with a popped prefix, so `now` and the
+        // reference key sit mid-run.
+        for _ in 0..50 + rng.index(200) {
+            let bits = 4 + rng.index(36);
+            let t = ls.cal.now().0 + 1 + rng.u64_below(1 << bits);
+            ls.schedule_at(t);
+            if rng.index(3) == 0 {
+                ls.op(Op::Pop);
+            }
+        }
+        for _ in 0..20 {
+            let Some(min) = ls.cal.peek_time() else { break };
+            let now = ls.cal.now().0;
+            if min.0 == now {
+                ls.op(Op::Pop);
+                continue;
+            }
+            // Refuse the minimum with each bound kind, at and below it.
+            let below = now + rng.u64_below(min.0 - now);
+            assert_eq!(ls.pop_until(below), None, "seed {seed}");
+            assert_eq!(ls.pop_before(min.0), None, "seed {seed}");
+            // Fill the gap the refusals left, then pop into it.
+            for _ in 0..1 + rng.index(8) {
+                ls.schedule_at(now + rng.u64_below(min.0 - now));
+            }
+            ls.op(Op::ScheduleNow);
+            while ls.pop_before(min.0).is_some() {}
+            assert_eq!(ls.cal.peek_time(), Some(min), "seed {seed}");
+        }
+        ls.drain();
+    }
+}
+
+/// A clone taken mid-run must behave exactly like its original under the
+/// same continuation: same pops, same clock, same counters.
+#[test]
+fn clone_mid_run_pops_like_its_original() {
+    for seed in 0..32u64 {
+        let mut rng = SimRng::stream(0xc10e, seed);
+        let horizon = [50u64, 1_000_000, 40_000_000_000][rng.index(3)];
+        let mut ls = Lockstep::new();
+        for _ in 0..300 + rng.index(700) {
+            let op = draw_op(&mut rng, ls.cal.now(), horizon);
+            ls.op(op);
+        }
+        let mut twin = Lockstep {
+            cal: ls.cal.clone(),
+            model: ls.model.clone(),
+            step: ls.step,
+        };
+        for step in 0..2000 {
+            let op = draw_op(&mut rng, ls.cal.now(), horizon);
+            assert_eq!(ls.op(op), twin.op(op), "seed {seed} step {step}");
+        }
+        loop {
+            let (a, b) = (ls.op(Op::Pop), twin.op(Op::Pop));
+            assert_eq!(a, b, "seed {seed} drain");
+            if a.is_none() {
+                break;
+            }
+        }
+    }
+}
+
+/// Ten thousand events at one instant, scheduled partly before and partly
+/// after pops that redistribute the bucket holding them, must still fire
+/// in scheduling order.
+#[test]
+fn massed_ties_straddling_a_redistribution_keep_their_order() {
+    const T: u64 = 1_000_000;
+    let mut ls = Lockstep::new();
+    // Two earlier events share T's high bucket with the ties, so popping
+    // them redistributes the first half of the ties.
+    ls.schedule_at(T - 7);
+    for _ in 0..5_000 {
+        ls.schedule_at(T);
+    }
+    ls.schedule_at(T - 3);
+    ls.schedule_at(3 * T);
+    assert_eq!(ls.op(Op::Pop).map(|(t, _)| t), Some(SimTime(T - 7)));
+    for _ in 0..2_500 {
+        ls.schedule_at(T);
+    }
+    assert_eq!(ls.op(Op::Pop).map(|(t, _)| t), Some(SimTime(T - 3)));
+    // Pop into the ties, then keep adding to the same instant from
+    // inside it: ties scheduled at `now` fire after every earlier one.
+    for i in 0..2_500 {
+        assert_eq!(ls.op(Op::Pop).map(|(t, _)| t), Some(SimTime(T)));
+        ls.op(if i % 2 == 0 {
+            Op::ScheduleNow
+        } else {
+            Op::ScheduleAt(SimTime(T))
+        });
+    }
+    let mut ties = 0;
+    while let Some((t, _)) = ls.pop_until(T) {
+        assert_eq!(t, SimTime(T));
+        ties += 1;
+    }
+    assert_eq!(ties, 7_500);
+    assert_eq!(ls.op(Op::Pop), Some((SimTime(3 * T), 5_002)));
+    assert!(ls.cal.is_empty());
 }
 
 /// The panic message a closure dies with.

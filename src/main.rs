@@ -217,6 +217,9 @@ fn parse(args: &[String]) -> Result<Parsed, String> {
                     "--piggyback-secs",
                 )?)?))
             }
+            "--search-speedup" => {
+                cfg.search_speedup = Some(parse_num(&value("--search-speedup")?)?)
+            }
             "--aligned-starts" => cfg.initial_position = InitialPosition::Start,
             "--measure-secs" => {
                 cfg.timing.measure = SimDuration::from_secs(parse_num(&value("--measure-secs")?)?)

@@ -161,6 +161,34 @@ fn bad_flags_are_rejected_with_nonzero_exit() {
 }
 
 #[test]
+fn search_speedup_flag_is_parsed_and_validated() {
+    let mut args = vec!["simulate"];
+    args.extend(small_args());
+    args.extend(["--search-speedup", "4"]);
+    let out = cli(&args);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("terminals=8"), "{text}");
+
+    // A speed-up of 1 is no fast-forward at all; the configuration check
+    // refuses it, and the CLI reports that as a usage error.
+    let mut args = vec!["simulate"];
+    args.extend(small_args());
+    args.extend(["--search-speedup", "1"]);
+    let out = cli(&args);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("invalid configuration: search versions need a speed-up of at least 2"),
+        "{err}"
+    );
+}
+
+#[test]
 fn retired_env_knobs_exit_2() {
     // The probe-timeline and event-kernel switches are gone; setting one
     // must fail loudly rather than be silently ignored.
