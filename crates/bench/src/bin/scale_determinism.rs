@@ -19,7 +19,7 @@ use spiffi_simcore::SimDuration;
 
 /// The scale shape: 128 nodes × 4 disks, uniform access over 64
 /// one-minute titles, 32 MB of buffer per node, short schedule. Matches
-/// the `perf_baseline` scale section at its 4 096-terminal point.
+/// `golden_report`'s scale row at its 4 096-terminal point.
 fn scale_config() -> SystemConfig {
     let mut c = SystemConfig::small_test();
     let nodes = 128;

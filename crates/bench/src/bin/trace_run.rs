@@ -9,7 +9,7 @@
 //! populates the run journal (per-probe wall time, cache hits, speculation
 //! waste).
 //!
-//! Outputs, written to the repo root next to `BENCH_perf.json`:
+//! Outputs, written to the current directory:
 //!
 //! - `TRACE_run.jsonl` — one JSON object per line, merged events + samples
 //!   in timestamp order (every line carries `type` and `t_ns`).
@@ -57,8 +57,9 @@ use spiffi_trace::export;
 use spiffi_trace::json::f64_fixed;
 use spiffi_trace::{ForensicsDump, TraceEvent};
 
-/// The perf_baseline workload shape: one node, four disks, uniform access
-/// over 64 one-minute titles, memory far below the working set.
+/// The counted-search workload of `golden_report`'s search rows: one
+/// node, four disks, uniform access over 64 one-minute titles, memory far
+/// below the working set.
 fn workload_config(small: bool) -> SystemConfig {
     let mut c = SystemConfig::small_test();
     c.topology = spiffi_layout::Topology {

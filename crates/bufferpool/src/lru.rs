@@ -5,7 +5,7 @@
 //! page reference.
 
 /// Index-based intrusive LRU list. Front = least recently used.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct LruList {
     head: Option<u32>,
     tail: Option<u32>,

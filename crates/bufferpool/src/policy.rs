@@ -22,16 +22,6 @@ pub trait ReplacementPolicy: Send + Sync {
 
     /// Policy name for reports.
     fn name(&self) -> &'static str;
-
-    /// Deep-copy this policy, LRU chains included, behind a fresh box.
-    /// Lets the pool implement `Clone`.
-    fn clone_box(&self) -> Box<dyn ReplacementPolicy>;
-}
-
-impl Clone for Box<dyn ReplacementPolicy> {
-    fn clone(&self) -> Self {
-        self.clone_box()
-    }
 }
 
 /// Policy selection for configuration.
@@ -65,7 +55,7 @@ impl PolicyKind {
 /// queue. When a new page is needed, the buffer pool searches for the first
 /// available page starting from the head of the queue. This algorithm does
 /// not distinguish between prefetched pages and referenced pages."
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct GlobalLru {
     chain: LruList,
 }
@@ -101,10 +91,6 @@ impl ReplacementPolicy for GlobalLru {
     fn name(&self) -> &'static str {
         "global-lru"
     }
-
-    fn clone_box(&self) -> Box<dyn ReplacementPolicy> {
-        Box::new(self.clone())
-    }
 }
 
 /// §5.2.1 / Figure 4: "breaks the global LRU chain into two separate LRU
@@ -117,7 +103,7 @@ impl ReplacementPolicy for GlobalLru {
 /// chain, the buffer pool takes a page from the prefetched-pages LRU
 /// chain." Referenced video pages are almost always garbage (sequential
 /// access), so evicting them first protects prefetched-but-unconsumed data.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct LovePrefetch {
     prefetched: LruList,
     referenced: LruList,
@@ -180,10 +166,6 @@ impl ReplacementPolicy for LovePrefetch {
 
     fn name(&self) -> &'static str {
         "love-prefetch"
-    }
-
-    fn clone_box(&self) -> Box<dyn ReplacementPolicy> {
-        Box::new(self.clone())
     }
 }
 

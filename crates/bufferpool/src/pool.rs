@@ -26,7 +26,7 @@ enum FrameState {
     Resident { was_prefetch: bool },
 }
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct Frame {
     key: BlockAddr,
     state: FrameState,
@@ -94,11 +94,6 @@ impl PoolStats {
 }
 
 /// A fixed-capacity buffer pool of stripe-block page frames.
-///
-/// `Clone` deep-copies every frame, the free list, the page table and the
-/// replacement policy's chains (via [`ReplacementPolicy::clone_box`]), so a
-/// cloned pool evolves independently — the basis of simulation snapshots.
-#[derive(Clone)]
 pub struct BufferPool {
     frames: Vec<Frame>,
     free: Vec<FrameId>,
@@ -622,44 +617,5 @@ mod tests {
     fn capacity_reporting() {
         let p = pool(7);
         assert_eq!(p.capacity(), 7);
-    }
-
-    #[test]
-    fn clone_behaves_identically_under_both_policies() {
-        for kind in [PolicyKind::GlobalLru, PolicyKind::LovePrefetch] {
-            // Build a pool mid-workload: resident pages, an in-flight I/O
-            // with waiters, references, an eviction, and a failed alloc.
-            let mut p = BufferPool::new(3, kind);
-            let f0 = p.allocate(key(0, 0), true).unwrap();
-            let f1 = p.allocate(key(0, 1), false).unwrap();
-            p.complete_io(f0);
-            p.complete_io(f1);
-            p.lookup(key(0, 0), Some(1));
-            p.record_reference(f0, 1);
-            p.lookup(key(0, 0), Some(2));
-            let f2 = p.allocate(key(0, 2), true).unwrap();
-            p.add_waiter(f2, 41);
-            p.add_waiter(f2, 42);
-            p.pin(f1);
-            p.allocate(key(0, 3), false).unwrap(); // evicts f0
-            p.lookup(key(9, 9), Some(3)); // miss
-
-            let mut q = p.clone();
-            assert_eq!(q.stats(), p.stats());
-            assert_eq!(q.in_use(), p.in_use());
-            assert_eq!(q.capacity(), p.capacity());
-            assert_eq!(q.last_lookup_shared(), p.last_lookup_shared());
-            assert_eq!(q.last_alloc_evicted(), p.last_alloc_evicted());
-            // Behavioral equivalence: same lookups, same waiters, same
-            // next victim choice.
-            assert_eq!(q.lookup(key(0, 1), None), p.lookup(key(0, 1), None));
-            assert_eq!(q.lookup(key(0, 0), None), p.lookup(key(0, 0), None));
-            assert_eq!(q.complete_io(f2), p.complete_io(f2));
-            p.unpin(f1);
-            q.unpin(f1);
-            let pv = p.allocate(key(7, 7), false);
-            let qv = q.allocate(key(7, 7), false);
-            assert_eq!(pv, qv, "divergent eviction under {}", p.policy_name());
-        }
     }
 }

@@ -248,6 +248,34 @@ impl SystemConfig {
         if self.n_videos == 0 {
             return Err("library must contain at least one video".into());
         }
+        match self.scheduler {
+            SchedulerKind::Gss { groups: 0 } => {
+                return Err("GSS needs at least one group".into());
+            }
+            SchedulerKind::RealTime { classes, spacing }
+                if classes == 0 || spacing == SimDuration::ZERO =>
+            {
+                return Err(
+                    "real-time scheduling needs at least one class and a positive spacing".into(),
+                );
+            }
+            _ => {}
+        }
+        if let AccessPattern::Zipf(z) = self.access {
+            if !(z >= 0.0 && z.is_finite()) {
+                return Err(format!(
+                    "Zipf skew must be finite and non-negative, not {z}"
+                ));
+            }
+        }
+        if let Placement::StripeGroup { width } = self.placement {
+            let disks = self.topology.total_disks();
+            if width == 0 || !disks.is_multiple_of(width) {
+                return Err(format!(
+                    "stripe-group width {width} must divide the {disks} disks"
+                ));
+            }
+        }
         self.video.validate().map_err(|e| e.to_string())?;
         if let Some(speedup) = self.search_speedup {
             if speedup < 2 {

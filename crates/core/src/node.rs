@@ -84,7 +84,6 @@ pub struct PendingRead {
 }
 
 /// One disk with its scheduler, prefetch queue, and in-flight table.
-#[derive(Clone)]
 pub struct DiskUnit {
     /// The mechanical drive model.
     pub disk: Disk,
@@ -152,7 +151,6 @@ impl std::fmt::Debug for DiskUnit {
 }
 
 /// One server node.
-#[derive(Clone)]
 pub struct Node {
     /// The node CPU (FCFS).
     pub cpu: Cpu<CpuJob>,

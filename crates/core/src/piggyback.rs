@@ -35,7 +35,7 @@ pub enum StartDecision {
 }
 
 /// The piggyback batch manager.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct Piggyback {
     delay: SimDuration,
     open: HashMap<VideoId, Vec<u32>>,
@@ -252,27 +252,6 @@ mod tests {
             pb.request_start(2, VideoId(5), t(20.0)),
             StartDecision::OpenedBatch { .. }
         ));
-    }
-
-    #[test]
-    fn clone_mid_batch_keeps_groups_and_batches() {
-        let mut pb = Piggyback::new(SimDuration::from_secs(300));
-        // One fired group (1 ← 2,3), one open batch on another title.
-        pb.request_start(1, VideoId(0), t(0.0));
-        pb.request_start(2, VideoId(0), t(1.0));
-        pb.request_start(3, VideoId(0), t(2.0));
-        pb.fire(VideoId(0));
-        pb.request_start(7, VideoId(4), t(5.0));
-        pb.request_start(5, VideoId(4), t(6.0));
-
-        let mut back = pb.clone();
-        assert!(back.is_follower(2) && back.is_follower(3));
-        assert!(!back.is_follower(1) && !back.is_follower(7));
-        assert_eq!(back.terminals_piggybacked(), 2);
-        assert_eq!(back.batches_fired(), 1);
-        // The open batch fires with the original membership order.
-        assert_eq!(back.fire(VideoId(4)), (7, vec![5]));
-        assert_eq!(back.dissolve(1), vec![1, 2, 3]);
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub struct VisualSearch {
     pub forward: bool,
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Debug)]
 struct SearchState {
     session: u64,
     search: VisualSearch,
@@ -64,9 +64,8 @@ struct SearchState {
 
 /// One entry of the fault-scenario action table. The table is a pure
 /// function of `cfg.scenario` — a degrade window expands to a set/restore
-/// pair — so clones share it by value; pending [`Event::FaultFire`] events
-/// index into it.
-#[derive(Clone, Copy, Debug)]
+/// pair; pending [`Event::FaultFire`] events index into it.
+#[derive(Debug)]
 enum FaultAction {
     /// Permanently fail a disk and re-dispatch its queue to a sibling.
     KillDisk { node: u32, disk: u32 },
@@ -233,8 +232,7 @@ pub enum Event {
         term: u32,
     },
     /// Execute action `idx` of the fault-scenario action table (built
-    /// deterministically from `cfg.scenario`, so the index alone
-    /// identifies the perturbation in a cloned system too).
+    /// deterministically from `cfg.scenario`).
     FaultFire(u32),
 }
 
@@ -299,15 +297,6 @@ fn cpu_job_kind(job: &CpuJob) -> CpuJobKind {
 /// disk, CPU, network, buffer-pool, and terminal telemetry as the run
 /// unfolds. Probes are observation-only and cannot perturb the simulation;
 /// a traced run produces a [`RunReport`] bit-identical to an untraced one.
-///
-/// `Clone` (for probes that are themselves `Clone`, which includes the
-/// default [`NoopProbe`]) deep-copies the entire simulation state — the
-/// event calendar, every node's disk queues and buffer pool, the terminal
-/// vector, the piggyback manager and all RNG streams — except the video
-/// library, which is immutable and stays shared behind its `Arc`. A clone
-/// and its original evolve independently and deterministically: running
-/// both produces equal reports.
-#[derive(Clone)]
 pub struct VodSystem<P: Probe = NoopProbe> {
     cfg: SystemConfig,
     cal: Calendar<Event>,
@@ -341,9 +330,6 @@ pub struct VodSystem<P: Probe = NoopProbe> {
     deadline_misses: u64,
     /// Fault-scenario action table (see [`FaultAction`]); config-derived.
     fault_actions: Vec<FaultAction>,
-    /// Fault actions executed so far (a clone must agree with its
-    /// original on which faults already fired).
-    faults_fired: u64,
     // --- recycled event-loop buffers (allocation-free steady state) ---
     /// Request buffer handed to [`Terminal::pump_reusing`] each wake.
     pump_scratch: Vec<u32>,
@@ -441,7 +427,7 @@ impl<P: Probe> VodSystem<P> {
     /// unchanged. Observation-only by construction: the simulation state
     /// is untouched, so the run ahead is bit-identical to running under
     /// the old probe. This is how a caller attaches a probe to a system it
-    /// built or cloned under the default [`NoopProbe`].
+    /// built under the default [`NoopProbe`].
     pub fn attach_probe<Q: Probe>(self, probe: Q) -> VodSystem<Q> {
         VodSystem {
             cfg: self.cfg,
@@ -465,7 +451,6 @@ impl<P: Probe> VodSystem<P> {
             io_latency: self.io_latency,
             deadline_misses: self.deadline_misses,
             fault_actions: self.fault_actions,
-            faults_fired: self.faults_fired,
             pump_scratch: self.pump_scratch,
             waiter_scratch: self.waiter_scratch,
             probe,
@@ -532,8 +517,7 @@ impl<P: Probe> VodSystem<P> {
 
         // Fault perturbations fire as ordinary calendar events, so they
         // interleave with the workload in deterministic event order at
-        // any thread count, and pending firings are carried by the
-        // calendar into every clone.
+        // any thread count.
         let fault_actions = fault_actions_of(&cfg);
         for (idx, (at, _)) in fault_schedule_of(&cfg).iter().enumerate() {
             cal.schedule_at(SimTime::ZERO + *at, Event::FaultFire(idx as u32));
@@ -568,7 +552,6 @@ impl<P: Probe> VodSystem<P> {
             io_latency: Histogram::new(0.005, 400),
             deadline_misses: 0,
             fault_actions,
-            faults_fired: 0,
             pump_scratch: Vec::with_capacity(pump_cap),
             waiter_scratch: Vec::with_capacity(16),
             probe,
@@ -692,15 +675,9 @@ impl<P: Probe> VodSystem<P> {
         (self.collect_report(end), true, self.probe)
     }
 
-    /// Events processed so far (monotone; carried into clones).
+    /// Events processed so far (monotone).
     pub fn events_processed(&self) -> u64 {
         self.events_processed
-    }
-
-    /// Fault-scenario actions executed so far (a degrade window counts
-    /// twice: once applying the scale, once restoring it).
-    pub fn faults_fired(&self) -> u64 {
-        self.faults_fired
     }
 
     /// Events currently pending in the calendar.
@@ -720,12 +697,7 @@ impl<P: Probe> VodSystem<P> {
     /// run reaches once its terminals have joined; finishing the run
     /// afterwards reproduces a run that never stopped.
     pub fn replay_to_snapshot(&mut self) {
-        self.replay_before(late_join_open(&self.cfg.timing));
-    }
-
-    /// Process every event strictly before `at`, then stand the clock on
-    /// `at`.
-    fn replay_before(&mut self, at: SimTime) {
+        let at = late_join_open(&self.cfg.timing);
         // pop_before locates the minimum once per event instead of the
         // peek-then-pop double traversal.
         while let Some((_, ev)) = self.cal.pop_before(at) {
@@ -1693,7 +1665,6 @@ impl<P: Probe> VodSystem<P> {
 
     /// Execute action `idx` of the scenario table.
     fn fire_fault(&mut self, idx: u32) {
-        self.faults_fired += 1;
         match self.fault_actions[idx as usize] {
             FaultAction::SetLatencyScale { node, disk, pct } => {
                 self.nodes[node as usize].disks[disk as usize]
@@ -1967,40 +1938,8 @@ mod tests {
         );
     }
 
-    /// A clone taken at the replay boundary with piggyback groups and an
-    /// in-progress visual search runs exactly like the original and like
-    /// a system that was never stopped.
-    #[test]
-    fn clone_with_piggyback_and_visual_search_matches_fresh_build() {
-        let mut cfg = SystemConfig::small_test();
-        cfg.n_terminals = 14;
-        cfg.piggyback_delay = Some(SimDuration::from_secs(2));
-        let library = std::sync::Arc::new(VodSystem::generate_library(&cfg));
-        let with_search = |mut sys: VodSystem| {
-            sys.schedule_visual_search(
-                SimTime::ZERO + SimDuration::from_secs(9),
-                2,
-                VisualSearch {
-                    show: SimDuration::from_secs(1),
-                    skip: SimDuration::from_secs(2),
-                    forward: true,
-                },
-                SimDuration::from_secs(8),
-            );
-            sys
-        };
-        let mut sys = with_search(VodSystem::with_library(cfg.clone(), library.clone()));
-        sys.replay_to_snapshot();
-        assert!(!sys.searches.is_empty(), "no visual search at the boundary");
-        let cloned = sys.clone().run();
-        let fresh = with_search(VodSystem::with_library(cfg, library)).run();
-        assert_eq!(cloned, fresh, "clone diverged from the fresh build");
-        assert_eq!(sys.run(), fresh, "original diverged after cloning");
-        assert!(fresh.blocks_delivered > 0, "degenerate run");
-    }
-
     /// Records every fault callback so tests can assert what fired when.
-    #[derive(Clone, Default)]
+    #[derive(Default)]
     struct FaultLog {
         events: Vec<(SimTime, FaultEvent)>,
     }
@@ -2091,24 +2030,6 @@ mod tests {
     }
 
     #[test]
-    fn faulted_clone_matches_fresh_build() {
-        // Clone mid-run between the faults: the disk death (20 s) and the
-        // degrade (25 s) have fired, the abandon burst (30 s) and the
-        // degrade restore (35 s) are pending calendar events that both the
-        // clone and its original must carry out identically.
-        let cfg = faulted_config();
-        let library = std::sync::Arc::new(VodSystem::generate_library(&cfg));
-        let mut sys = VodSystem::with_library(cfg.clone(), library.clone());
-        sys.replay_before(SimTime::ZERO + SimDuration::from_secs(27));
-        assert_eq!(sys.faults_fired(), 2, "death and degrade must have fired");
-        let cloned = sys.clone().run();
-        let fresh = VodSystem::with_library(cfg, library).run();
-        assert_eq!(cloned, fresh, "faulted clone diverged from the fresh build");
-        assert_eq!(sys.run(), fresh, "original diverged after cloning");
-        assert!(fresh.blocks_delivered > 0, "degenerate run");
-    }
-
-    #[test]
     fn dead_disk_serves_no_io_and_its_streams_survive() {
         let cfg = faulted_config();
         let (report, probe) = VodSystem::with_probe(
@@ -2137,7 +2058,7 @@ mod tests {
     }
 
     /// Records disk transfer starts as `(time, node, disk)`.
-    #[derive(Clone, Default)]
+    #[derive(Default)]
     struct DiskIoLog {
         starts: Vec<(SimTime, u32, u32)>,
     }

@@ -83,7 +83,7 @@ pub struct Pump {
 /// while rarely-touched containers and lifetime statistics sit behind one
 /// pointer in `TerminalCold`. A million-terminal vector thus keeps its
 /// per-wake working set to the terminal's own few cachelines.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Terminal {
     id: u32,
     capacity: u64,
@@ -127,7 +127,7 @@ pub struct Terminal {
 /// The cold half of a [`Terminal`]: containers touched only on
 /// out-of-order arrivals, pause transitions, and title changes, plus
 /// lifetime statistics read at report collection.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 struct TerminalCold {
     /// Blocks arrived beyond the frontier.
     ooo: BTreeSet<u32>,
@@ -908,52 +908,6 @@ mod tests {
     fn block_len_handles_short_tail() {
         assert_eq!(block_len(1000, 300, 0), 300);
         assert_eq!(block_len(1000, 300, 3), 100);
-    }
-
-    #[test]
-    fn clone_mid_playback_behaves_identically() {
-        let v = video();
-        // Mid-playback state with out-of-order blocks, a pending pause,
-        // and a glitch already on the books.
-        let mut term = Terminal::new(3, 2 * 1024 * 1024);
-        term.start_video(&v, BB, 0, vec![(2000, SimDuration::from_secs(9))]);
-        term.pump(&v, BB, t(0.0));
-        term.on_block_arrival(&v, BB, 0, term.epoch());
-        term.on_block_arrival(&v, BB, 2, term.epoch()); // out of order
-        term.on_block_arrival(&v, BB, 1, term.epoch());
-        term.on_block_arrival(&v, BB, 3, term.epoch());
-        let p = term.pump(&v, BB, t(0.5));
-        assert!(p.started_playing);
-        term.pump(&v, BB, t(1.7));
-
-        let mut back = term.clone();
-        assert_eq!(back.state(), term.state());
-        assert_eq!(back.epoch(), term.epoch());
-        assert_eq!(back.gen(), term.gen());
-        assert_eq!(back.current_frame(), term.current_frame());
-        assert_eq!(back.buffered_bytes(), term.buffered_bytes());
-        assert_eq!(back.blocks_received(), term.blocks_received());
-
-        // The clone must behave identically from here on.
-        let mut now = t(2.0);
-        for _ in 0..40 {
-            let a = term.pump(&v, BB, now);
-            let b = back.pump(&v, BB, now);
-            assert_eq!(a.requests, b.requests);
-            assert_eq!(a.wake_at, b.wake_at);
-            assert_eq!(a.glitched, b.glitched);
-            assert_eq!(a.paused, b.paused);
-            for &blk in &a.requests {
-                term.on_block_arrival(&v, BB, blk, term.epoch());
-                back.on_block_arrival(&v, BB, blk, back.epoch());
-            }
-            now = match a.wake_at {
-                Some(wk) => wk.max(now + SimDuration::from_millis(250)),
-                None => now + SimDuration::from_millis(250),
-            };
-        }
-        assert_eq!(term.glitches_total(), back.glitches_total());
-        assert_eq!(term.state(), back.state());
     }
 
     #[test]

@@ -10,8 +10,16 @@
 //!
 //! Float fields are compared by `to_bits()` — "byte-identical" means
 //! exactly that, not approximately equal.
+//!
+//! The search rows pin one capacity search per scheduler (capacity, every
+//! probe and the counted events) and the scale rows pin two large steady
+//! runs; together they are the counted-work gate a speed-only change must
+//! leave untouched.
 
-use spiffi_core::{run_once, RunReport, SystemConfig, VodSystem};
+use spiffi_core::{
+    replication_seed, run_once, CapacityResult, CapacitySearch, Engine, RunReport, SystemConfig,
+    VodSystem,
+};
 use spiffi_mpeg::AccessPattern;
 use spiffi_sched::SchedulerKind;
 use spiffi_simcore::SimDuration;
@@ -196,4 +204,175 @@ fn golden_overloaded_realtime() {
             io_latency_mean_bits: 4652513707330735653,
         }
     );
+}
+
+/// The counted-search workload: one node of four disks, uniform access
+/// over 64 one-minute titles and 32 MiB of buffer, far below the working
+/// set. The base seed is the engine's replication-seed derivation (the
+/// SplitMix64 golden-ratio increment) inverted, so replication 0 runs
+/// seed `0x005b_1ff1_9e4f`.
+fn search_workload(scheduler: SchedulerKind) -> SystemConfig {
+    let mut c = SystemConfig::small_test();
+    c.topology = spiffi_layout::Topology {
+        nodes: 1,
+        disks_per_node: 4,
+    };
+    c.n_videos = 64;
+    c.access = AccessPattern::Uniform;
+    c.video.duration = SimDuration::from_secs(60);
+    c.server_memory_bytes = 32 * 1024 * 1024;
+    c.timing.stagger = SimDuration::from_secs(5);
+    c.timing.warmup = SimDuration::from_secs(10);
+    c.timing.measure = SimDuration::from_secs(120);
+    c.scheduler = scheduler;
+    c.seed = 0x005b_1ff1_9e4fu64.wrapping_sub(0x9e37_79b9_7f4a_7c15);
+    c
+}
+
+const SEARCH: CapacitySearch = CapacitySearch {
+    lo: 4,
+    hi: 96,
+    step: 4,
+    replications: 1,
+};
+
+/// The counted outcome of a capacity search: every field of
+/// [`CapacityResult`] except the thread-dependent `speculative_events`.
+#[derive(Debug, PartialEq, Eq)]
+struct SearchGolden {
+    max_terminals: u32,
+    probes: Vec<(u32, u64)>,
+    events_processed: u64,
+    below_bracket: bool,
+}
+
+fn search_golden(r: &CapacityResult) -> SearchGolden {
+    SearchGolden {
+        max_terminals: r.max_terminals,
+        probes: r.probes.clone(),
+        events_processed: r.events_processed,
+        below_bracket: r.below_bracket,
+    }
+}
+
+/// Search `scheduler`'s capacity on one and on two threads: the counted
+/// outcome must agree, and one thread must not speculate.
+fn capture_search(scheduler: SchedulerKind) -> SearchGolden {
+    let cfg = search_workload(scheduler);
+    assert_eq!(replication_seed(cfg.seed, 0), 0x005b_1ff1_9e4f);
+    let one = Engine::with_threads(1).max_glitch_free_terminals(&cfg, &SEARCH);
+    assert_eq!(one.speculative_events, 0, "one thread must not speculate");
+    let two = Engine::with_threads(2).max_glitch_free_terminals(&cfg, &SEARCH);
+    assert_eq!(
+        search_golden(&one),
+        search_golden(&two),
+        "the search's counted outcome depends on the thread count"
+    );
+    search_golden(&one)
+}
+
+fn realtime_3x4() -> SchedulerKind {
+    SchedulerKind::RealTime {
+        classes: 3,
+        spacing: SimDuration::from_secs(4),
+    }
+}
+
+#[test]
+fn golden_search_elevator() {
+    let g = capture_search(SchedulerKind::Elevator);
+    println!("GOLDEN search elevator: {g:?}");
+    assert_eq!(
+        g,
+        SearchGolden {
+            max_terminals: 60,
+            probes: vec![(4, 0), (96, 1), (48, 0), (72, 1), (60, 0), (64, 1)],
+            events_processed: 149608,
+            below_bracket: false,
+        }
+    );
+}
+
+#[test]
+fn golden_search_gss() {
+    let g = capture_search(SchedulerKind::Gss { groups: 4 });
+    println!("GOLDEN search gss: {g:?}");
+    assert_eq!(
+        g,
+        SearchGolden {
+            max_terminals: 56,
+            probes: vec![(4, 0), (96, 1), (48, 0), (72, 1), (60, 1), (52, 0), (56, 0)],
+            events_processed: 196629,
+            below_bracket: false,
+        }
+    );
+}
+
+#[test]
+fn golden_search_realtime() {
+    let g = capture_search(realtime_3x4());
+    println!("GOLDEN search realtime: {g:?}");
+    assert_eq!(
+        g,
+        SearchGolden {
+            max_terminals: 52,
+            probes: vec![(4, 0), (96, 1), (48, 0), (72, 1), (60, 1), (52, 0), (56, 1)],
+            events_processed: 171804,
+            below_bracket: false,
+        }
+    );
+}
+
+/// The scale workload: `terminals / 32` nodes of four disks, 32 MiB of
+/// buffer per node and a short schedule, well inside the glitch knee, so
+/// the run measures steady streaming at a deep event queue.
+fn scale_workload(n_terminals: u32) -> SystemConfig {
+    let mut c = SystemConfig::small_test();
+    let nodes = (n_terminals / 32).max(1);
+    c.topology = spiffi_layout::Topology {
+        nodes,
+        disks_per_node: 4,
+    };
+    c.n_videos = 64;
+    c.access = AccessPattern::Uniform;
+    c.video.duration = SimDuration::from_secs(60);
+    c.server_memory_bytes = nodes as u64 * 32 * 1024 * 1024;
+    c.timing.stagger = SimDuration::from_secs(5);
+    c.timing.warmup = SimDuration::from_secs(10);
+    c.timing.measure = SimDuration::from_secs(20);
+    c.n_terminals = n_terminals;
+    c.seed = 0x005b_1ff1_9e4f;
+    c
+}
+
+#[test]
+fn golden_scale() {
+    let cfg = scale_workload(4_096);
+    let library = VodSystem::generate_library(&cfg);
+    let counted: Vec<(u32, u64, u64)> = [4_096, 16_384]
+        .into_iter()
+        .map(|n| {
+            let r = VodSystem::with_library(scale_workload(n), library.clone()).run();
+            (n, r.events_processed, r.glitches)
+        })
+        .collect();
+    println!("GOLDEN scale (terminals, events, glitches): {counted:?}");
+    assert_eq!(counted, [(4_096, 684163, 0), (16_384, 2717649, 0)]);
+}
+
+/// The configurations the golden rows run are valid ones.
+#[test]
+fn golden_workloads_validate() {
+    for scheduler in [
+        SchedulerKind::Elevator,
+        SchedulerKind::Gss { groups: 4 },
+        realtime_3x4(),
+    ] {
+        let mut c = search_workload(scheduler);
+        c.n_terminals = SEARCH.hi;
+        assert_eq!(c.validate(), Ok(()), "{scheduler:?}");
+    }
+    for n in [4_096, 16_384] {
+        assert_eq!(scale_workload(n).validate(), Ok(()), "{n} terminals");
+    }
 }

@@ -17,7 +17,7 @@ use crate::{DiskRequest, DiskScheduler, RequestId};
 /// Earliest-deadline-first: requests ordered by `(deadline, arrival)`;
 /// requests without deadlines sort after all deadlines, among themselves in
 /// arrival order.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct Edf {
     by_deadline: BTreeMap<(SimTime, RequestId), DiskRequest>,
 }
@@ -58,10 +58,6 @@ impl DiskScheduler for Edf {
 
     fn name(&self) -> &'static str {
         "edf"
-    }
-
-    fn clone_box(&self) -> Box<dyn DiskScheduler> {
-        Box::new(self.clone())
     }
 }
 

@@ -13,7 +13,7 @@ use crate::{DiskRequest, DiskScheduler, RequestId};
 ///
 /// Requests are kept ordered by `(cylinder, arrival)` in a B-tree, so each
 /// pop is a single ranged lookup in the sweep direction.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Elevator {
     by_cylinder: BTreeMap<(u32, RequestId), DiskRequest>,
     direction_up: bool,
@@ -107,10 +107,6 @@ impl DiskScheduler for Elevator {
 
     fn name(&self) -> &'static str {
         "elevator"
-    }
-
-    fn clone_box(&self) -> Box<dyn DiskScheduler> {
-        Box::new(self.clone())
     }
 }
 

@@ -8,7 +8,7 @@ use crate::{DiskRequest, DiskScheduler, RequestId};
 
 /// Service requests strictly in arrival order. The simplest correct
 /// scheduler; \[Hari94\] studies its memory requirements against elevator.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct Fcfs {
     queue: VecDeque<DiskRequest>,
 }
@@ -40,10 +40,6 @@ impl DiskScheduler for Fcfs {
 
     fn name(&self) -> &'static str {
         "fcfs"
-    }
-
-    fn clone_box(&self) -> Box<dyn DiskScheduler> {
-        Box::new(self.clone())
     }
 }
 

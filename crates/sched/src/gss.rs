@@ -16,7 +16,7 @@ use crate::{scan_select, DiskRequest, DiskScheduler, RequestId, StreamId};
 /// group's next turn. This is what bounds each terminal's inter-service
 /// time (and hence its buffer requirement) at the cost of coarser seek
 /// optimization — the trade-off Figure 10 explores.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Gss {
     groups: u32,
     pending: BTreeMap<StreamId, VecDeque<DiskRequest>>,
@@ -151,10 +151,6 @@ impl DiskScheduler for Gss {
 
     fn name(&self) -> &'static str {
         "gss"
-    }
-
-    fn clone_box(&self) -> Box<dyn DiskScheduler> {
-        Box::new(self.clone())
     }
 }
 

@@ -112,17 +112,6 @@ pub trait DiskScheduler: Send + Sync {
 
     /// Algorithm name for reports.
     fn name(&self) -> &'static str;
-
-    /// Deep-copy this scheduler, queued requests and sweep state included,
-    /// behind a fresh box. Lets simulation state holding a
-    /// `Box<dyn DiskScheduler>` implement `Clone`.
-    fn clone_box(&self) -> Box<dyn DiskScheduler>;
-}
-
-impl Clone for Box<dyn DiskScheduler> {
-    fn clone(&self) -> Self {
-        self.clone_box()
-    }
 }
 
 /// Scheduler selection, used by configuration and the experiment harness.

@@ -18,7 +18,7 @@ use crate::{DiskRequest, DiskScheduler, RequestId};
 /// real-time disk scheduling algorithm can identify and skip prefetches if
 /// necessary and, therefore, benefits from aggressive prefetching"
 /// (§5.2.3).
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct RealTime {
     classes: u32,
     spacing: SimDuration,
@@ -135,10 +135,6 @@ impl DiskScheduler for RealTime {
 
     fn name(&self) -> &'static str {
         "real-time"
-    }
-
-    fn clone_box(&self) -> Box<dyn DiskScheduler> {
-        Box::new(self.clone())
     }
 }
 

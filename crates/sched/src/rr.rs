@@ -12,7 +12,7 @@ use crate::{DiskRequest, DiskScheduler, RequestId, StreamId};
 ///
 /// Requests without a stream are grouped under a single background
 /// pseudo-stream that takes its turn like any other.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct RoundRobin {
     queues: BTreeMap<StreamId, VecDeque<DiskRequest>>,
     /// The last stream serviced; the next pop starts strictly after it.
@@ -87,10 +87,6 @@ impl DiskScheduler for RoundRobin {
 
     fn name(&self) -> &'static str {
         "round-robin"
-    }
-
-    fn clone_box(&self) -> Box<dyn DiskScheduler> {
-        Box::new(self.clone())
     }
 }
 

@@ -221,52 +221,6 @@ fn remove_is_precise() {
     }
 }
 
-/// Clone contract: after an arbitrary prefix of pushes and pops, a deep
-/// clone of a scheduler must drain in exactly the order the original
-/// would have.
-#[test]
-fn clone_mid_workload_drains_identically() {
-    for seed in 0..64u64 {
-        let mut rng = SimRng::stream(0x54a9, seed);
-        let n = 1 + rng.index(40);
-        let specs: Vec<DiskRequest> = (0..n).map(|i| random_req(&mut rng, i as u64)).collect();
-        let pops = rng.index(n + 1);
-        for kind in all_kinds() {
-            let mut s = kind.build();
-            let mut now = SimTime::ZERO;
-            let mut head = 0;
-            for r in &specs {
-                s.push(*r);
-            }
-            for _ in 0..pops {
-                if let Some(r) = s.pop_next(now, head) {
-                    head = r.cylinder;
-                    now += SimDuration::from_millis(7);
-                }
-            }
-
-            let mut clone = s.clone();
-            assert_eq!(s.len(), clone.len(), "seed {seed} under {}", s.name());
-            let mut head2 = head;
-            let mut now2 = now;
-            loop {
-                let a = s.pop_next(now, head);
-                let b = clone.pop_next(now2, head2);
-                assert_eq!(a, b, "seed {seed}: drain diverged under {}", s.name());
-                match a {
-                    Some(r) => {
-                        head = r.cylinder;
-                        head2 = r.cylinder;
-                        now += SimDuration::from_millis(7);
-                        now2 += SimDuration::from_millis(7);
-                    }
-                    None => break,
-                }
-            }
-        }
-    }
-}
-
 /// Under GSS, between two consecutive services of the same stream no other
 /// stream is serviced twice from the batch the stream was waiting in —
 /// i.e. at most one request per stream per group pass.

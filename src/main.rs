@@ -16,7 +16,7 @@
 
 use std::process::ExitCode;
 
-use spiffi_vod::core::config::InitialPosition;
+use spiffi_vod::core::config::{InitialPosition, KB, MB};
 use spiffi_vod::prelude::*;
 
 const HELP: &str = "\
@@ -183,10 +183,9 @@ fn parse(args: &[String]) -> Result<Parsed, String> {
                 cfg.topology.disks_per_node = parse_num(&value("--disks-per-node")?)?
             }
             "--server-mem-mb" => {
-                cfg.server_memory_bytes =
-                    parse_num::<u64>(&value("--server-mem-mb")?)? * 1024 * 1024
+                cfg.server_memory_bytes = parse_bytes(&value("--server-mem-mb")?, MB)?
             }
-            "--stripe-kb" => cfg.stripe_bytes = parse_num::<u64>(&value("--stripe-kb")?)? * 1024,
+            "--stripe-kb" => cfg.stripe_bytes = parse_bytes(&value("--stripe-kb")?, KB)?,
             "--scheduler" => scheduler_explicit = Some(parse_scheduler(&value("--scheduler")?)?),
             "--policy" => {
                 cfg.policy = match value("--policy")?.as_str() {
@@ -201,7 +200,7 @@ fn parse(args: &[String]) -> Result<Parsed, String> {
             }
             "--terminals" => cfg.n_terminals = parse_num(&value("--terminals")?)?,
             "--terminal-mem-kb" => {
-                cfg.terminal_memory_bytes = parse_num::<u64>(&value("--terminal-mem-kb")?)? * 1024
+                cfg.terminal_memory_bytes = parse_bytes(&value("--terminal-mem-kb")?, KB)?
             }
             "--videos" => {
                 cfg.n_videos = parse_num(&value("--videos")?)?;
@@ -269,6 +268,13 @@ fn parse(args: &[String]) -> Result<Parsed, String> {
 fn parse_num<T: std::str::FromStr>(s: &str) -> Result<T, String> {
     s.parse()
         .map_err(|_| format!("`{s}` is not a valid number"))
+}
+
+/// Parse a count of `unit`-byte units into bytes.
+fn parse_bytes(s: &str, unit: u64) -> Result<u64, String> {
+    parse_num::<u64>(s)?
+        .checked_mul(unit)
+        .ok_or_else(|| format!("`{s}` overflows a 64-bit byte count"))
 }
 
 fn parse_scheduler(s: &str) -> Result<SchedulerKind, String> {

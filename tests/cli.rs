@@ -160,6 +160,62 @@ fn bad_flags_are_rejected_with_nonzero_exit() {
     }
 }
 
+/// Inputs the simulator's own asserts or a wrapping unit conversion used
+/// to turn into a panic, an abort or a misleading message are refused as
+/// usage errors, each with its own message.
+#[test]
+fn out_of_range_inputs_exit_2_with_a_message() {
+    let cases: [(&[&str], &str); 11] = [
+        (&["--scheduler", "gss:0"], "GSS needs at least one group"),
+        (
+            &["--scheduler", "real-time:0:4"],
+            "real-time scheduling needs at least one class",
+        ),
+        (&["--scheduler", "real-time:3:0"], "and a positive spacing"),
+        (
+            &["--access", "zipf:-3"],
+            "Zipf skew must be finite and non-negative, not -3",
+        ),
+        (
+            &["--access", "zipf:NaN"],
+            "Zipf skew must be finite and non-negative, not NaN",
+        ),
+        (
+            &["--access", "zipf:inf"],
+            "Zipf skew must be finite and non-negative, not inf",
+        ),
+        (
+            &["--placement", "group:0"],
+            "stripe-group width 0 must divide the 16 disks",
+        ),
+        (
+            &["--placement", "group:3"],
+            "stripe-group width 3 must divide the 16 disks",
+        ),
+        (
+            &["--server-mem-mb", "18446744073709551615"],
+            "`18446744073709551615` overflows a 64-bit byte count",
+        ),
+        (
+            &["--stripe-kb", "18014398509481984"],
+            "`18014398509481984` overflows a 64-bit byte count",
+        ),
+        (
+            &["--terminal-mem-kb", "18014398509481984"],
+            "`18014398509481984` overflows a 64-bit byte count",
+        ),
+    ];
+    for (flags, message) in cases {
+        let mut args = vec!["simulate"];
+        args.extend(flags);
+        let out = cli(&args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flags:?}: {err}");
+        assert!(err.contains(message), "{flags:?}: {err}");
+        assert!(!err.contains("panicked"), "{flags:?}: {err}");
+    }
+}
+
 #[test]
 fn search_speedup_flag_is_parsed_and_validated() {
     let mut args = vec!["simulate"];

@@ -1,7 +1,8 @@
 //! Configuration-grid sweep: every combination of scheduler × policy ×
 //! prefetcher × placement runs a short simulation without panicking, with
-//! sane reports and bit-identical determinism. This is the guard rail for
-//! the whole configuration space the experiment binaries walk.
+//! sane reports and bit-identical determinism, and every cell passes
+//! `SystemConfig::validate`. This is the guard rail for the whole
+//! configuration space the experiment binaries walk.
 
 use spiffi_vod::core::config::InitialPosition;
 use spiffi_vod::prelude::*;
@@ -89,6 +90,7 @@ fn scheduler_x_prefetcher_grid_runs_and_is_deterministic() {
             let mut c = grid_base().with_scheduler(sched);
             c.prefetch = pf;
             let label = format!("{}/{}", sched.label(), pf.label());
+            assert_eq!(c.validate(), Ok(()), "{label}");
             let a = run_once(&c);
             check_report(&a, &label);
             let b = run_once(&c);
@@ -109,6 +111,7 @@ fn policy_x_placement_grid_runs() {
             c.policy = policy;
             c.placement = placement;
             let label = format!("{}/{:?}", policy.label(), placement);
+            assert_eq!(c.validate(), Ok(()), "{label}");
             let r = run_once(&c);
             check_report(&r, &label);
         }
@@ -123,6 +126,7 @@ fn stripe_size_x_terminal_memory_grid_runs() {
             c.stripe_bytes = stripe_kb * 1024;
             c.terminal_memory_bytes = term_mb * 1024 * 1024;
             let label = format!("{stripe_kb}KB/{term_mb}MB");
+            assert_eq!(c.validate(), Ok(()), "{label}");
             let r = run_once(&c);
             check_report(&r, &label);
         }
@@ -146,6 +150,7 @@ fn feature_combinations_run() {
     c.pause = Some(PauseConfig::default());
     c.piggyback_delay = Some(SimDuration::from_secs(15));
     c.initial_position = InitialPosition::Start;
+    assert_eq!(c.validate(), Ok(()), "kitchen-sink");
     let r = run_once(&c);
     check_report(&r, "kitchen-sink");
 }
