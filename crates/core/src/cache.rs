@@ -197,8 +197,8 @@ impl LibraryCache {
 /// probe: what [`VodSystem::run_glitch_probe`] reports when the run
 /// completes *cleanly* — to its own first measured glitch, or to the end
 /// of the measurement window — without being truncated by a sibling's
-/// cancel flag or a search abort. Truncated outcomes are wall-clock
-/// artifacts and must never enter the cache.
+/// cancel flag or by the search abandoning the count. Truncated outcomes
+/// are wall-clock artifacts and must never enter the cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ProbeOutcome {
     /// Glitches measured before the run stopped (0 = glitch-free window).

@@ -38,8 +38,12 @@
 //! count to probe next depends on whether the current probe glitched —
 //! but both possible next counts are known *before* the probe resolves,
 //! so [`Engine::max_glitch_free_terminals`] keeps idle worker slots busy
-//! running replications of the counts the search could visit next. Every
-//! cleanly finished replication lands in a search-wide [`ProbeCache`]
+//! running replications of the counts the search could visit next. Those
+//! are ranked by how many still-undecided outcomes they assume, the clean
+//! branch of an undecided probe before its glitch branch, and a count's
+//! in-flight runs are abandoned as soon as the search can no longer reach
+//! it (see `SpecSearch::pick_task` and `SpecState::abandon_unreachable`).
+//! Every cleanly finished replication lands in a search-wide [`ProbeCache`]
 //! keyed by `(config fingerprint, count, replication)`, so no pair is
 //! ever simulated twice for one configuration — not within a search, not
 //! across repeated searches on the same engine. Because a probe's
@@ -491,6 +495,30 @@ impl SearchCursor {
         };
     }
 
+    /// Every count this cursor, or any cursor it can advance into, may
+    /// name as pending; `None` if there are more than `limit` of them.
+    /// Advancing takes one branch, so a successor's set is a subset of
+    /// its parent's.
+    fn reachable_counts(&self, limit: usize) -> Option<HashSet<u32>> {
+        let mut counts = HashSet::new();
+        // The futures form a tree (every advance narrows the bracket or
+        // walks down), so no state needs deduplicating.
+        let mut stack = vec![*self];
+        while let Some(cursor) = stack.pop() {
+            let Some(n) = cursor.pending() else { continue };
+            counts.insert(n);
+            if counts.len() > limit {
+                return None;
+            }
+            for glitches in [0, 1] {
+                let mut next = cursor;
+                next.advance(glitches);
+                stack.push(next);
+            }
+        }
+        Some(counts)
+    }
+
     /// The phase after count `n` glitched during bracket confirmation or
     /// walk-down. The walk stays on the step grid and stops *at* the
     /// grid's floor (one step): stepping below it would probe off-grid
@@ -545,13 +573,55 @@ struct SpecState {
     fresh: HashMap<(u32, u32), u64>,
     /// Pairs currently being simulated by some worker.
     running: HashSet<(u32, u32)>,
-    /// Per-count cancel flags (shared by that count's replications so a
-    /// glitching replication still short-circuits its higher siblings).
-    cancels: HashMap<u32, Arc<AtomicU32>>,
+    /// Per-count coordination flags, shared by that count's in-flight
+    /// replications. A count leaves the map when the cursor can no longer
+    /// reach it, its abandon flag raised on the way out.
+    cancels: HashMap<u32, Arc<CountFlags>>,
     /// Every event simulated by this call, clean or truncated.
     executed_events: u64,
     /// The cursor reached [`Phase::Done`].
     done: bool,
+}
+
+impl SpecState {
+    /// Raise the abandon flag of every count the cursor can no longer
+    /// reach — every count, once the search is answered — and forget it.
+    /// A cursor's reachable set only shrinks as it advances, so an
+    /// abandoned count is never needed again. Nothing is abandoned while
+    /// the set is too large to enumerate.
+    fn abandon_unreachable(&mut self) {
+        let Some(live) = self.cursor.reachable_counts(SpecSearch::MAX_FRONTIER) else {
+            return;
+        };
+        self.cancels.retain(|n, flags| {
+            let keep = live.contains(n);
+            if !keep {
+                flags.abandon.store(true, Ordering::Relaxed);
+            }
+            keep
+        });
+    }
+}
+
+/// The flags one count's replications poll while they run.
+#[derive(Debug)]
+struct CountFlags {
+    /// The lowest glitching replication index (`u32::MAX` until one
+    /// glitches): replications above it stop, since they are never
+    /// counted (see [`VodSystem::run_glitch_probe`]).
+    cancel: AtomicU32,
+    /// Raised once the search can no longer visit the count: every
+    /// replication of it stops.
+    abandon: AtomicBool,
+}
+
+impl CountFlags {
+    fn new() -> Self {
+        CountFlags {
+            cancel: AtomicU32::new(u32::MAX),
+            abandon: AtomicBool::new(false),
+        }
+    }
 }
 
 /// One run of [`Engine::max_glitch_free_terminals`]: a team of workers
@@ -562,7 +632,7 @@ struct SpecState {
 ///
 /// With a one-thread engine the single worker runs on the caller's
 /// thread. It then always picks the first missing replication of the
-/// cursor's pending count, nothing is in flight to cancel or abort it, and
+/// cursor's pending count, nothing is in flight to cancel or abandon, and
 /// the search is exactly the sequential bisection loop.
 struct SpecSearch<'a> {
     engine: &'a Engine,
@@ -572,9 +642,6 @@ struct SpecSearch<'a> {
     state: Mutex<SpecState>,
     /// Signalled whenever an outcome lands or the search finishes.
     resolved: Condvar,
-    /// Raised once the search is answered: in-flight speculative runs
-    /// abandon their simulations at the next poll.
-    abort: AtomicBool,
 }
 
 impl<'a> SpecSearch<'a> {
@@ -608,7 +675,6 @@ impl<'a> SpecSearch<'a> {
                 done: false,
             }),
             resolved: Condvar::new(),
-            abort: AtomicBool::new(false),
         }
     }
 
@@ -656,18 +722,17 @@ impl<'a> SpecSearch<'a> {
         loop {
             self.drive(&mut st);
             if st.done {
-                self.abort.store(true, Ordering::Relaxed);
                 self.resolved.notify_all();
                 return;
             }
             match self.pick_task(&mut st) {
-                Some((n, r, cancel)) => {
+                Some((n, r, flags)) => {
                     st.running.insert((n, r));
                     drop(st);
                     let started = std::time::Instant::now();
                     let system = self.engine.probe_system(self.cfg, n, r);
                     let (report, clean) =
-                        system.run_glitch_probe_abortable(&cancel, r, &self.abort);
+                        system.run_glitch_probe_abortable(&flags.cancel, r, &flags.abandon);
                     self.engine.journal.record_probe(ProbeRun {
                         terminals: n,
                         replication: r,
@@ -702,19 +767,22 @@ impl<'a> SpecSearch<'a> {
 
     /// Advance the authoritative cursor over every probe whose counted
     /// outcome is fully known, logging probes and counted events exactly
-    /// as the sequential loop would.
+    /// as the sequential loop would, then abandon the counts the advance
+    /// left behind.
     fn drive(&self, st: &mut SpecState) {
+        let logged = st.probes.len();
         while let Some(n) = st.cursor.pending() {
-            match self.probe_total(st, n) {
-                Some((glitches, events)) => {
-                    st.probes.push((n, glitches));
-                    st.counted_events += events;
-                    st.cursor.advance(glitches);
-                }
-                None => return,
-            }
+            let Some((glitches, events)) = self.probe_total(st, n) else {
+                break;
+            };
+            st.probes.push((n, glitches));
+            st.counted_events += events;
+            st.cursor.advance(glitches);
         }
-        st.done = true;
+        st.done = st.cursor.pending().is_none();
+        if st.probes.len() > logged {
+            st.abandon_unreachable();
+        }
     }
 
     /// The counted `(glitch total, event total)` of a probe at `n`, if
@@ -756,64 +824,66 @@ impl<'a> SpecSearch<'a> {
         Some(out)
     }
 
-    /// Choose the next replication to simulate: breadth-first over the
-    /// cursor's reachable futures, so the probe the search is actually
-    /// waiting on always outranks speculation, and nearer speculative
-    /// counts outrank farther ones. Within a count, replications dispatch
-    /// in index order past any that are already running — the same
+    /// Choose the next replication to simulate, walking the cursor's
+    /// reachable futures as a 0-1 breadth-first search whose cost is the
+    /// number of still-undecided outcomes a future assumes. A future
+    /// reached through an outcome that is already decided (every counted
+    /// replication known, or any replication known to glitch) costs
+    /// nothing more than its parent, so the probe the search is waiting
+    /// on, and whatever it is sure to probe next, always come first.
+    /// Among undecided outcomes the clean branch goes before the glitch
+    /// branch: a clean replication runs its whole measurement window
+    /// while a glitching one stops at its first measured glitch, so a
+    /// parent still running when a worker frees up is likelier to come
+    /// out clean, and a clean parent's long run leaves its speculative
+    /// child the most overlap. Within a count, replications dispatch in index order
+    /// past any that are already running — the same
     /// all-replications-concurrent shape as the pre-speculative probe.
-    fn pick_task(&self, st: &mut SpecState) -> Option<(u32, u32, Arc<AtomicU32>)> {
-        let mut queue: VecDeque<SearchCursor> = VecDeque::new();
-        queue.push_back(st.cursor);
+    fn pick_task(&self, st: &mut SpecState) -> Option<(u32, u32, Arc<CountFlags>)> {
+        let mut queue: VecDeque<SearchCursor> = VecDeque::from([st.cursor]);
         let mut seen: HashSet<u32> = HashSet::new();
         while let Some(cursor) = queue.pop_front() {
             let Some(n) = cursor.pending() else { continue };
-            if !seen.insert(n) || seen.len() > Self::MAX_FRONTIER {
+            if !seen.insert(n) {
                 continue;
             }
-            // Scan this count's replications for one worth dispatching.
-            let mut known_glitch = false;
+            if seen.len() > Self::MAX_FRONTIER {
+                return None;
+            }
+            // Scan this count's replications for one worth dispatching,
+            // learning on the way whether the probe's outcome is decided:
+            // glitching once any replication is known to glitch (higher
+            // ones are never counted), clean once every one is known clean.
+            let mut decided = Some(0);
             for r in 0..self.replications {
                 match self.lookup(st, n, r) {
                     Some(out) if out.glitches > 0 => {
-                        // Higher replications are never counted.
-                        known_glitch = true;
+                        decided = Some(out.glitches);
                         break;
                     }
                     Some(_) => {}
+                    None if st.running.contains(&(n, r)) => decided = None,
                     None => {
-                        if !st.running.contains(&(n, r)) {
-                            let cancel = st
-                                .cancels
-                                .entry(n)
-                                .or_insert_with(|| Arc::new(AtomicU32::new(u32::MAX)));
-                            return Some((n, r, Arc::clone(cancel)));
-                        }
+                        let flags = st
+                            .cancels
+                            .entry(n)
+                            .or_insert_with(|| Arc::new(CountFlags::new()));
+                        return Some((n, r, Arc::clone(flags)));
                     }
                 }
             }
-            // Nothing to dispatch here; expand the futures this count
-            // leads to. When the probe's outcome is already decided (all
-            // counted replications known, or any replication known to
-            // glitch) only the real branch exists.
-            match self.probe_total(st, n) {
-                Some((glitches, _)) => {
+            match decided {
+                Some(glitches) => {
                     let mut next = cursor;
                     next.advance(glitches);
-                    queue.push_back(next);
-                }
-                None if known_glitch => {
-                    let mut next = cursor;
-                    next.advance(1);
-                    queue.push_back(next);
+                    queue.push_front(next);
                 }
                 None => {
-                    let mut glitch = cursor;
-                    glitch.advance(1);
-                    queue.push_back(glitch);
-                    let mut clean = cursor;
-                    clean.advance(0);
-                    queue.push_back(clean);
+                    for glitches in [0, 1] {
+                        let mut next = cursor;
+                        next.advance(glitches);
+                        queue.push_back(next);
+                    }
                 }
             }
         }
@@ -1245,6 +1315,156 @@ mod tests {
             engine.probe_cache().len(),
             cached_pairs,
             "a warm search must not simulate (and cache) new pairs"
+        );
+    }
+
+    /// `rt_scaleup_x4`'s search shape: bracket 200..1300 on a 10 grid,
+    /// one replication. Its first midpoint is 750, whose glitch branch
+    /// bisects at 470 and whose clean branch at 1020; 1020's glitch
+    /// branch bisects at 880.
+    fn scaleup_search() -> CapacitySearch {
+        CapacitySearch {
+            lo: 200,
+            hi: 1300,
+            step: 10,
+            replications: 1,
+        }
+    }
+
+    /// Record a clean (`glitches == 0`) or glitching outcome for
+    /// replication 0 of `n`, as a finished worker would.
+    fn resolve(st: &mut SpecState, n: u32, glitches: u64) {
+        st.outcomes.insert(
+            (n, 0),
+            ProbeOutcome {
+                glitches,
+                events: 1,
+            },
+        );
+    }
+
+    /// Dispatch the next task as a worker would, returning its count.
+    fn dispatch(spec: &SpecSearch, st: &mut SpecState) -> (u32, Arc<CountFlags>) {
+        let (n, r, flags) = spec.pick_task(st).expect("a task to dispatch");
+        st.running.insert((n, r));
+        (n, flags)
+    }
+
+    #[test]
+    fn spare_worker_speculates_the_clean_branch_first() {
+        let (engine, cfg) = (Engine::with_threads(2), tiny());
+        let fp = ProbeCache::fingerprint(&cfg);
+        let spec = SpecSearch::new(&engine, &cfg, &scaleup_search(), &fp);
+        let mut st = spec.state.lock().unwrap();
+        // While the lower bracket runs, the spare worker takes the upper
+        // bracket (its clean branch), not the walk-down to 190.
+        assert_eq!(dispatch(&spec, &mut st).0, 200);
+        assert_eq!(dispatch(&spec, &mut st).0, 1300);
+        resolve(&mut st, 200, 0);
+        resolve(&mut st, 1300, 7);
+        st.running.clear();
+        spec.drive(&mut st);
+        assert_eq!(st.cursor.pending(), Some(750));
+
+        // With 750 running, the spare worker runs 1020, not 470.
+        assert_eq!(dispatch(&spec, &mut st).0, 750);
+        assert_eq!(dispatch(&spec, &mut st).0, 1020);
+        // Once 1020 is known to glitch, 880 sits behind one open
+        // assumption (750 clean), the same as 470, and its branch comes
+        // first.
+        st.running.remove(&(1020, 0));
+        resolve(&mut st, 1020, 3);
+        assert_eq!(dispatch(&spec, &mut st).0, 880);
+        assert_eq!(dispatch(&spec, &mut st).0, 470);
+    }
+
+    #[test]
+    fn reachable_counts_drop_the_branch_the_search_left() {
+        let mut cursor = SearchCursor::new(&scaleup_search());
+        cursor.advance(0); // 200 clean
+        cursor.advance(1); // 1300 glitches
+        assert_eq!(cursor.pending(), Some(750));
+        let before = cursor.reachable_counts(SpecSearch::MAX_FRONTIER).unwrap();
+        assert!(before.contains(&470) && before.contains(&1020));
+        assert!(before.iter().all(|&n| n > 200 && n < 1300));
+
+        cursor.advance(0); // 750 clean
+        let after = cursor.reachable_counts(SpecSearch::MAX_FRONTIER).unwrap();
+        assert!(after.contains(&1020) && after.contains(&880));
+        assert!(
+            after.iter().all(|&n| n > 750 && n < 1300),
+            "470's subtree survived: {after:?}"
+        );
+        assert!(after.is_subset(&before));
+        // A truncated walk reports nothing rather than a partial set.
+        assert_eq!(cursor.reachable_counts(3), None);
+    }
+
+    #[test]
+    fn counts_the_search_leaves_behind_are_abandoned() {
+        let (engine, cfg) = (Engine::with_threads(2), tiny());
+        let fp = ProbeCache::fingerprint(&cfg);
+        let spec = SpecSearch::new(&engine, &cfg, &scaleup_search(), &fp);
+        let mut st = spec.state.lock().unwrap();
+        resolve(&mut st, 200, 0);
+        resolve(&mut st, 1300, 7);
+        spec.drive(&mut st);
+        let (_, f750) = dispatch(&spec, &mut st);
+        let (n, f1020) = dispatch(&spec, &mut st);
+        assert_eq!(n, 1020);
+        let (n, f470) = dispatch(&spec, &mut st);
+        assert_eq!(n, 470);
+        assert!(!f470.abandon.load(Ordering::Relaxed));
+
+        // 750 comes out clean: 470 can no longer be reached, 1020 can.
+        st.running.remove(&(750, 0));
+        resolve(&mut st, 750, 0);
+        spec.drive(&mut st);
+        assert_eq!(st.cursor.pending(), Some(1020));
+        assert!(f470.abandon.load(Ordering::Relaxed), "470 kept running");
+        assert!(!f1020.abandon.load(Ordering::Relaxed));
+        assert!(f750.abandon.load(Ordering::Relaxed));
+
+        // The answer raises every flag still held.
+        for (n, g) in [
+            (1020, 0),
+            (1160, 1),
+            (1090, 1),
+            (1050, 0),
+            (1070, 0),
+            (1080, 1),
+        ] {
+            resolve(&mut st, n, g);
+        }
+        spec.drive(&mut st);
+        assert!(st.done);
+        assert!(f1020.abandon.load(Ordering::Relaxed));
+        assert!(st.cancels.is_empty());
+    }
+
+    #[test]
+    fn nothing_is_abandoned_while_the_futures_are_too_many_to_walk() {
+        // A 100 000-point grid: the cursor past its lower bracket still
+        // reaches far more counts than the walk may enumerate.
+        let search = CapacitySearch {
+            lo: 1,
+            hi: 100_000,
+            step: 1,
+            replications: 1,
+        };
+        let (engine, cfg) = (Engine::with_threads(2), tiny());
+        let fp = ProbeCache::fingerprint(&cfg);
+        let spec = SpecSearch::new(&engine, &cfg, &search, &fp);
+        let mut st = spec.state.lock().unwrap();
+        let (n, f1) = dispatch(&spec, &mut st);
+        assert_eq!(n, 1);
+        resolve(&mut st, 1, 0);
+        spec.drive(&mut st);
+        assert_eq!(st.cursor.pending(), Some(100_000));
+        assert_eq!(st.cursor.reachable_counts(SpecSearch::MAX_FRONTIER), None);
+        assert!(
+            !f1.abandon.load(Ordering::Relaxed),
+            "a truncated walk must abandon nothing"
         );
     }
 }

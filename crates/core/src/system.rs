@@ -278,6 +278,19 @@ fn late_join_open(timing: &RunTiming) -> SimTime {
     SimTime::ZERO + timing.warmup.saturating_sub(timing.stagger)
 }
 
+/// How long playback takes to cross `stride` stripe blocks of a title
+/// streaming at `bit_rate_bps`: the prefetcher's estimate of how far the
+/// real request for a block trails the request `stride` blocks before it.
+fn stride_playback_time(
+    stride: u32,
+    stripe_bytes: u64,
+    bit_rate_bps: u64,
+) -> spiffi_simcore::SimDuration {
+    spiffi_simcore::SimDuration::from_secs_f64(
+        stride as f64 * stripe_bytes as f64 * 8.0 / bit_rate_bps as f64,
+    )
+}
+
 /// Probe-facing classification of a CPU job.
 fn cpu_job_kind(job: &CpuJob) -> CpuJobKind {
     match job {
@@ -602,10 +615,10 @@ impl<P: Probe> VodSystem<P> {
         self.run_glitch_probe_abortable(cancel, index, &abort).0
     }
 
-    /// [`VodSystem::run_glitch_probe`] with an additional search-wide abort
-    /// flag, for speculative probes whose outcome the capacity search may
-    /// stop needing altogether (the search answered while this count was
-    /// still hypothetical).
+    /// [`VodSystem::run_glitch_probe`] with an additional abort flag, for
+    /// speculative probes whose outcome the capacity search may stop
+    /// needing altogether (it moved past this count, or answered, while
+    /// the count was still hypothetical).
     ///
     /// Returns `(report, clean)`. `clean` is true iff the run completed
     /// *deterministically* — it reached its own first measured glitch or
@@ -1352,10 +1365,12 @@ impl<P: Probe> VodSystem<P> {
         }
         let d = self.route_disk(node, self.layout.locate(next).disk.disk);
         // Estimated deadline: the real request for `next` trails this one
-        // by the playback time of the intervening stripe blocks.
-        let stride = (next.index - block.index) as u64;
-        let stride_time = spiffi_simcore::SimDuration::from_secs_f64(
-            stride as f64 * self.cfg.stripe_bytes as f64 * 8.0 / self.cfg.video.bit_rate_bps as f64,
+        // by the playback time of the intervening stripe blocks, at the
+        // title's own rate (a scenario `mix` gives some titles another).
+        let stride_time = stride_playback_time(
+            next.index - block.index,
+            self.cfg.stripe_bytes,
+            self.library.get(block.video).params().bit_rate_bps,
         );
         self.nodes[n].disks[d as usize]
             .prefetch
@@ -1936,6 +1951,27 @@ mod tests {
             late_join_open(&timing),
             SimTime::ZERO + SimDuration::from_secs(15)
         );
+    }
+
+    #[test]
+    fn stride_playback_time_follows_the_titles_bit_rate() {
+        // One 512 KiB stripe block is 4194304 bits: 1.048576 s of a
+        // 4 Mbit/s title, 0.2796 s of a 15 Mbit/s one.
+        let stripe = 512 * 1024;
+        assert_eq!(
+            stride_playback_time(1, stripe, 4_000_000),
+            SimDuration::from_secs_f64(1.048576)
+        );
+        assert_eq!(
+            stride_playback_time(3, stripe, 4_000_000),
+            SimDuration::from_secs_f64(3.0 * 1.048576)
+        );
+        let fast = stride_playback_time(1, stripe, 15_000_000);
+        assert_eq!(fast, SimDuration::from_secs_f64(4_194_304.0 / 15e6));
+        // Regression: the estimate used the configured base rate for every
+        // title, so a 15 Mbit/s block's deadline landed 3.75x too late.
+        let ratio = stride_playback_time(1, stripe, 4_000_000).as_secs_f64() / fast.as_secs_f64();
+        assert!((ratio - 3.75).abs() < 1e-6, "ratio {ratio}");
     }
 
     /// Records every fault callback so tests can assert what fired when.

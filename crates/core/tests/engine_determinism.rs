@@ -6,7 +6,11 @@
 //! glitching one is ever counted, and that prefix cannot depend on thread
 //! scheduling.
 
-use spiffi_core::{CapacitySearch, Engine, RunReport, SystemConfig};
+use std::sync::atomic::AtomicU32;
+
+use spiffi_core::{
+    replication_seed, CapacitySearch, Engine, ProbeCache, RunReport, SystemConfig, VodSystem,
+};
 use spiffi_simcore::SimDuration;
 
 /// The tiny single-disk configuration used throughout the core tests:
@@ -136,6 +140,76 @@ fn speculative_search_is_identical_to_sequential() {
             assert_eq!(
                 warm.speculative_events, 0,
                 "a fully warm search has nothing left to speculate"
+            );
+        }
+    }
+}
+
+/// The speculative search's order and abandonment are invisible in the
+/// results whichever way the first midpoint goes. The bracket 2..28 first
+/// bisects at 14, which comes out clean at seed 0 (the search then
+/// speculates above it) and glitches at seed 5 (below it). Every outcome
+/// left in the probe cache must equal a one-thread run of its pair, so a
+/// run the search abandoned or cancelled never enters the cache.
+#[test]
+fn speculation_order_and_abandonment_leave_results_unchanged() {
+    let search = CapacitySearch {
+        lo: 2,
+        hi: 28,
+        step: 2,
+        replications: 2,
+    };
+    for (seed, midpoint_glitches) in [(0, false), (5, true)] {
+        let mut cfg = tiny();
+        cfg.seed = seed;
+        let reference = Engine::with_threads(1).max_glitch_free_terminals(&cfg, &search);
+        assert_eq!(reference.probes[2].0, 14, "first midpoint moved");
+        assert_eq!(
+            reference.probes[2].1 > 0,
+            midpoint_glitches,
+            "seed {seed} no longer covers its case: {:?}",
+            reference.probes
+        );
+        for threads in [1, 2, 3] {
+            let engine = Engine::with_threads(threads);
+            let got = engine.max_glitch_free_terminals(&cfg, &search);
+            assert_eq!(
+                got.max_terminals, reference.max_terminals,
+                "{threads} threads, seed {seed}"
+            );
+            assert_eq!(
+                got.probes, reference.probes,
+                "{threads} threads, seed {seed}"
+            );
+            assert_eq!(
+                got.events_processed, reference.events_processed,
+                "{threads} threads, seed {seed}"
+            );
+
+            let fp = ProbeCache::fingerprint(&cfg);
+            let mut checked = 0;
+            for n in (search.lo..=search.hi).step_by(search.step as usize) {
+                for r in 0..search.replications {
+                    let Some(cached) = engine.probe_cache().get(&fp, n, r) else {
+                        continue;
+                    };
+                    let mut c = cfg.clone();
+                    c.n_terminals = n;
+                    c.seed = replication_seed(cfg.seed, r);
+                    let alone = VodSystem::new(c).run_glitch_probe(&AtomicU32::new(u32::MAX), r);
+                    assert_eq!(
+                        (cached.glitches, cached.events),
+                        (alone.glitches, alone.events_processed),
+                        "cached ({n}, {r}) differs from its one-thread run at {threads} threads"
+                    );
+                    checked += 1;
+                }
+            }
+            assert!(checked > 0, "no clean outcome was cached");
+            assert_eq!(
+                checked,
+                engine.probe_cache().len(),
+                "an off-grid pair was cached"
             );
         }
     }
