@@ -19,10 +19,7 @@
 #![warn(missing_docs)]
 
 use spiffi_core::driver::fan_out;
-use spiffi_core::{
-    max_glitch_free_terminals, CapacityResult, CapacitySearch, Engine, RunReport, RunTiming,
-    SystemConfig,
-};
+use spiffi_core::{CapacityResult, CapacitySearch, Engine, RunReport, RunTiming, SystemConfig};
 
 /// Experiment scale selected on the command line.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -177,20 +174,6 @@ impl Harness {
             f(&inner, &points[i])
         })
     }
-}
-
-/// Run a capacity search with the preset's parameters and standard
-/// brackets for a 16-disk system.
-///
-/// Convenience wrapper over a transient engine; binaries sweeping a grid
-/// should use a [`Harness`] so the library cache persists.
-pub fn capacity(cfg: &SystemConfig, preset: Preset) -> CapacityResult {
-    max_glitch_free_terminals(cfg, &preset.search(20, 400))
-}
-
-/// Run a capacity search with custom brackets (scale-up experiments).
-pub fn capacity_bracketed(cfg: &SystemConfig, preset: Preset, lo: u32, hi: u32) -> CapacityResult {
-    max_glitch_free_terminals(cfg, &preset.search(lo, hi))
 }
 
 /// Fixed-width table printer.

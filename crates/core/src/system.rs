@@ -22,6 +22,7 @@
 //! delayed).
 
 use spiffi_bufferpool::{LookupResult, PoolStats};
+use spiffi_cpu::CpuOp;
 use spiffi_layout::{BlockAddr, Layout, Placement};
 use spiffi_mpeg::{Library, TitleSelector, VideoId};
 use spiffi_net::Network;
@@ -742,7 +743,6 @@ impl<P: Probe> VodSystem<P> {
                 let node = self.layout.locate(block).disk.node.0;
                 self.submit_cpu(
                     node,
-                    self.cfg.cpu.recv_msg_instr,
                     CpuJob::RecvRequest {
                         term,
                         epoch,
@@ -1201,9 +1201,14 @@ impl<P: Probe> VodSystem<P> {
 
     /// Put a job on a node's CPU, scheduling its completion if the CPU was
     /// idle.
-    fn submit_cpu(&mut self, node: u32, instr: u64, job: CpuJob) {
+    fn submit_cpu(&mut self, node: u32, job: CpuJob) {
         let now = self.cal.now();
-        if let Some(d) = self.nodes[node as usize].cpu.submit(now, instr, job) {
+        let op = match job {
+            CpuJob::RecvRequest { .. } => CpuOp::RecvMsg,
+            CpuJob::StartIo { .. } => CpuOp::StartIo,
+            CpuJob::SendReply { .. } => CpuOp::SendMsg,
+        };
+        if let Some(d) = self.nodes[node as usize].cpu.submit(now, op, job) {
             self.cal.schedule_at(now + d, Event::CpuDone { node });
         }
     }
@@ -1287,7 +1292,6 @@ impl<P: Probe> VodSystem<P> {
                 self.nodes[n].pool.record_reference(f, term);
                 self.submit_cpu(
                     node,
-                    self.cfg.cpu.send_msg_instr,
                     CpuJob::SendReply {
                         term,
                         epoch,
@@ -1489,11 +1493,7 @@ impl<P: Probe> VodSystem<P> {
             },
         );
         unit.by_block.insert(block, rid);
-        self.submit_cpu(
-            node,
-            self.cfg.cpu.start_io_instr,
-            CpuJob::StartIo { disk, req },
-        );
+        self.submit_cpu(node, CpuJob::StartIo { disk, req });
     }
 
     /// If the disk is idle and work is queued, start the next transfer.
@@ -1577,7 +1577,6 @@ impl<P: Probe> VodSystem<P> {
             self.nodes[n].pool.record_reference(ctx.frame, term);
             self.submit_cpu(
                 node,
-                self.cfg.cpu.send_msg_instr,
                 CpuJob::SendReply {
                     term,
                     epoch,
@@ -1609,7 +1608,6 @@ impl<P: Probe> VodSystem<P> {
                     let len = self.layout.locate(pr.block).len;
                     self.submit_cpu(
                         node,
-                        self.cfg.cpu.send_msg_instr,
                         CpuJob::SendReply {
                             term: pr.term,
                             epoch: pr.epoch,

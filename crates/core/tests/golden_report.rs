@@ -16,6 +16,7 @@
 //! runs; together they are the counted-work gate a speed-only change must
 //! leave untouched.
 
+use spiffi_core::config::InitialPosition;
 use spiffi_core::{
     replication_seed, run_once, CapacityResult, CapacitySearch, Engine, RunReport, SystemConfig,
     VodSystem,
@@ -206,6 +207,42 @@ fn golden_overloaded_realtime() {
     );
 }
 
+/// A batched run (§8.2): every terminal starts its title from the first
+/// frame, tune-ins spread over 10 s and start requests for a title are
+/// held 5 s to gather a piggyback group. With 40 terminals over twelve
+/// titles, 22 of them end up following another terminal's stream.
+fn piggyback_workload() -> SystemConfig {
+    let mut c = tiny(SchedulerKind::Elevator, 40);
+    c.n_videos = 12;
+    c.initial_position = InitialPosition::Start;
+    c.timing.stagger = SimDuration::from_secs(10);
+    c.piggyback_delay = Some(SimDuration::from_secs(5));
+    c
+}
+
+#[test]
+fn golden_piggyback() {
+    let r = run_once(&piggyback_workload());
+    let g = (golden_of(&r), r.terminals_piggybacked);
+    println!("GOLDEN piggyback (report, piggybacked): {g:?}");
+    assert_eq!(
+        g,
+        (
+            Golden {
+                glitches: 0,
+                blocks_delivered: 529,
+                videos_completed: 0,
+                events_processed: 5266,
+                deadline_misses: 0,
+                avg_disk_utilization_bits: 4606213731201088259,
+                net_peak_bits: 4712738352565059584,
+                io_latency_mean_bits: 4640004768182512539,
+            },
+            22
+        )
+    );
+}
+
 /// The counted-search workload: one node of four disks, uniform access
 /// over 64 one-minute titles and 32 MiB of buffer, far below the working
 /// set. The base seed is the engine's replication-seed derivation (the
@@ -375,4 +412,5 @@ fn golden_workloads_validate() {
     for n in [4_096, 16_384] {
         assert_eq!(scale_workload(n).validate(), Ok(()), "{n} terminals");
     }
+    assert_eq!(piggyback_workload().validate(), Ok(()));
 }

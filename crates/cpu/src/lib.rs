@@ -7,10 +7,11 @@
 //! (0.17 ms) and 2 200 to receive one (0.055 ms).
 //!
 //! [`Cpu`] is a single-server FCFS queue of jobs carrying an opaque payload
-//! `T` (the continuation the server loop runs when the job completes). The
-//! caller owns the event calendar: [`Cpu::submit`] returns the completion
-//! delay when the CPU was idle, and [`Cpu::finish`] returns the finished
-//! payload plus the next job's delay, if any. Figure 17's CPU utilization
+//! `T` (the continuation the server loop runs when the job completes). Each
+//! job is one [`CpuOp`], whose execution time the CPU works out once, when
+//! it is built. The caller owns the event calendar: [`Cpu::submit`] returns
+//! the completion delay when the CPU was idle, and [`Cpu::finish`] returns
+//! the finished payload plus the next job's delay, if any. Figure 17's CPU utilization
 //! falls out of the built-in busy-time accounting.
 
 #![warn(missing_docs)]
@@ -49,14 +50,40 @@ impl CpuParams {
     pub fn time_for(&self, instr: u64) -> SimDuration {
         SimDuration::from_secs_f64(instr as f64 / (self.mips * 1e6))
     }
+
+    /// Instructions one `op` executes.
+    pub fn instructions(&self, op: CpuOp) -> u64 {
+        match op {
+            CpuOp::StartIo => self.start_io_instr,
+            CpuOp::SendMsg => self.send_msg_instr,
+            CpuOp::RecvMsg => self.recv_msg_instr,
+        }
+    }
+}
+
+/// The operations a node CPU executes, each at a fixed instruction cost.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CpuOp {
+    /// Start a disk I/O.
+    StartIo,
+    /// Send a message.
+    SendMsg,
+    /// Receive a message.
+    RecvMsg,
+}
+
+impl CpuOp {
+    const ALL: [CpuOp; 3] = [CpuOp::StartIo, CpuOp::SendMsg, CpuOp::RecvMsg];
 }
 
 /// A single FCFS CPU executing jobs with payloads of type `T`.
 #[derive(Clone, Debug)]
 pub struct Cpu<T> {
     params: CpuParams,
-    /// Queued jobs: (instruction cost, payload).
-    queue: VecDeque<(u64, T)>,
+    /// Execution time of each [`CpuOp`], indexed by its discriminant.
+    op_time: [SimDuration; 3],
+    /// Queued jobs: (operation, payload).
+    queue: VecDeque<(CpuOp, T)>,
     /// Payload of the job currently executing, if any.
     running: Option<T>,
     /// When the running job started executing (queueing excluded).
@@ -70,6 +97,7 @@ impl<T> Cpu<T> {
     pub fn new(params: CpuParams) -> Self {
         Cpu {
             params,
+            op_time: CpuOp::ALL.map(|op| params.time_for(params.instructions(op))),
             queue: VecDeque::new(),
             running: None,
             running_since: None,
@@ -83,21 +111,21 @@ impl<T> Cpu<T> {
         &self.params
     }
 
-    /// Submit a job at `now`. If the CPU was idle the job starts
-    /// immediately and its completion delay is returned — the caller must
-    /// schedule a completion event and then call [`Cpu::finish`]. If the
-    /// CPU is busy the job queues and `None` is returned; it will surface
-    /// from a later [`Cpu::finish`].
+    /// Submit a job executing `op` at `now`. If the CPU was idle the job
+    /// starts immediately and its completion delay is returned — the
+    /// caller must schedule a completion event and then call
+    /// [`Cpu::finish`]. If the CPU is busy the job queues and `None` is
+    /// returned; it will surface from a later [`Cpu::finish`].
     #[must_use]
-    pub fn submit(&mut self, now: SimTime, instr: u64, payload: T) -> Option<SimDuration> {
+    pub fn submit(&mut self, now: SimTime, op: CpuOp, payload: T) -> Option<SimDuration> {
         if self.running.is_none() {
             debug_assert!(self.queue.is_empty(), "idle CPU with queued jobs");
             self.running = Some(payload);
             self.running_since = Some(now);
             self.util.set_busy(now, true);
-            Some(self.params.time_for(instr))
+            Some(self.op_time[op as usize])
         } else {
-            self.queue.push_back((instr, payload));
+            self.queue.push_back((op, payload));
             None
         }
     }
@@ -109,10 +137,10 @@ impl<T> Cpu<T> {
         let done = self.running.take().expect("finish called on an idle CPU");
         self.completed += 1;
         match self.queue.pop_front() {
-            Some((instr, payload)) => {
+            Some((op, payload)) => {
                 self.running = Some(payload);
                 self.running_since = Some(now);
-                (done, Some(self.params.time_for(instr)))
+                (done, Some(self.op_time[op as usize]))
             }
             None => {
                 self.running_since = None;
@@ -169,9 +197,24 @@ mod tests {
     }
 
     #[test]
+    fn each_op_runs_for_its_instruction_count() {
+        let p = CpuParams {
+            mips: 33.0,
+            ..CpuParams::default()
+        };
+        for op in CpuOp::ALL {
+            let mut cpu = Cpu::new(p);
+            let d = cpu.submit(SimTime::ZERO, op, ()).unwrap();
+            assert_eq!(d, p.time_for(p.instructions(op)), "{op:?}");
+            assert_eq!(cpu.submit(SimTime::ZERO, op, ()), None);
+            assert_eq!(cpu.finish(SimTime::ZERO + d).1, Some(d), "{op:?}");
+        }
+    }
+
+    #[test]
     fn idle_cpu_starts_job_immediately() {
         let mut cpu = Cpu::new(CpuParams::default());
-        let d = cpu.submit(SimTime::ZERO, 20_000, "io");
+        let d = cpu.submit(SimTime::ZERO, CpuOp::StartIo, "io");
         assert_eq!(d, Some(SimDuration::from_micros(500)));
         assert!(cpu.is_busy());
     }
@@ -179,9 +222,9 @@ mod tests {
     #[test]
     fn busy_cpu_queues_fcfs() {
         let mut cpu = Cpu::new(CpuParams::default());
-        let d0 = cpu.submit(SimTime::ZERO, 20_000, 0).unwrap();
-        assert_eq!(cpu.submit(SimTime::ZERO, 6_800, 1), None);
-        assert_eq!(cpu.submit(SimTime::ZERO, 2_200, 2), None);
+        let d0 = cpu.submit(SimTime::ZERO, CpuOp::StartIo, 0).unwrap();
+        assert_eq!(cpu.submit(SimTime::ZERO, CpuOp::SendMsg, 1), None);
+        assert_eq!(cpu.submit(SimTime::ZERO, CpuOp::RecvMsg, 2), None);
         assert_eq!(cpu.queue_len(), 2);
         // First completion returns job 0 and starts job 1.
         let t1 = SimTime::ZERO + d0;
@@ -205,9 +248,9 @@ mod tests {
     fn running_since_tracks_execution_start() {
         let mut cpu = Cpu::new(CpuParams::default());
         assert_eq!(cpu.running_since(), None);
-        let d0 = cpu.submit(SimTime::ZERO, 20_000, 0).unwrap();
+        let d0 = cpu.submit(SimTime::ZERO, CpuOp::StartIo, 0).unwrap();
         assert_eq!(cpu.running_since(), Some(SimTime::ZERO));
-        assert_eq!(cpu.submit(SimTime::ZERO, 6_800, 1), None);
+        assert_eq!(cpu.submit(SimTime::ZERO, CpuOp::SendMsg, 1), None);
         let t1 = SimTime::ZERO + d0;
         cpu.finish(t1);
         // The queued job starts executing at t1, not at submission time.
@@ -226,8 +269,11 @@ mod tests {
 
     #[test]
     fn utilization_tracks_busy_time() {
-        let mut cpu = Cpu::new(CpuParams::default());
-        let d = cpu.submit(SimTime::ZERO, 40_000_000, ()).unwrap(); // 1 s
+        let mut cpu = Cpu::new(CpuParams {
+            start_io_instr: 40_000_000, // 1 s
+            ..CpuParams::default()
+        });
+        let d = cpu.submit(SimTime::ZERO, CpuOp::StartIo, ()).unwrap();
         assert_eq!(d, SimDuration::from_secs(1));
         let end = SimTime::ZERO + d;
         cpu.finish(end);
@@ -241,9 +287,12 @@ mod tests {
 
     #[test]
     fn utilization_counts_open_job() {
-        let mut cpu = Cpu::new(CpuParams::default());
-        cpu.submit(SimTime::ZERO, 80_000_000, ()).unwrap(); // 2 s job
-                                                            // Half way through, utilization is 100% so far.
+        let mut cpu = Cpu::new(CpuParams {
+            send_msg_instr: 80_000_000, // 2 s
+            ..CpuParams::default()
+        });
+        cpu.submit(SimTime::ZERO, CpuOp::SendMsg, ()).unwrap();
+        // Half way through, utilization is 100% so far.
         let u = cpu.utilization(SimTime::from_secs_f64(1.0));
         assert!((u - 1.0).abs() < 1e-9);
     }

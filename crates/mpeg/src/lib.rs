@@ -15,12 +15,14 @@
 //!   `(video seed, frame index)`.
 //!
 //! A one-hour video has 108 000 frames. [`Video`] indexes them in two
-//! levels: a `u64` cumulative byte count per GOP (~57 KB per hour of
-//! video) and a `u32` offset per frame from the start of its GOP (~432 KB),
-//! half what a flat `u64` per frame would take. [`PlayCursor`] adds an O(1)
-//! sequential window over that index for the terminal's frame-accurate
-//! consumption. A [`Library`] generates its titles independently, so it
-//! can spread them over threads and still come out byte-identical.
+//! levels: a `u64` cumulative byte count per GOP (~58 KB per hour of
+//! video) and a 3-byte offset from the start of its GOP for each frame
+//! but the GOP's first (~302 KB; 4 bytes for a title with an offset of 16 MiB
+//! or more), under half what a flat `u64` per frame would take.
+//! [`PlayCursor`] adds an O(1) sequential window over that index for the
+//! terminal's frame-accurate consumption. A [`Library`] generates its
+//! titles independently, so it can spread them over threads and still
+//! come out byte-identical.
 
 #![warn(missing_docs)]
 

@@ -1,7 +1,7 @@
 //! A single synthetic video title and its frame-accurate byte index.
 
 use spiffi_simcore::time::NANOS_PER_SEC;
-use spiffi_simcore::{dist::Exponential, SimDuration, SimRng};
+use spiffi_simcore::{dist::Exponential, round_u64, SimDuration, SimRng};
 
 use crate::frame::{GopPattern, GOP_LEN, GOP_SEQUENCE};
 
@@ -73,10 +73,10 @@ impl VideoParams {
     /// Check that titles with these parameters can be generated and
     /// indexed.
     ///
-    /// A frame's offset into its GOP is stored as a `u32`. A frame size is
-    /// an exponential draw `-mean·ln(u)` with `u ≥ 2⁻⁵³`, so no frame
-    /// exceeds 36.7× its type's mean, and no GOP exceeds 37× the mean
-    /// GOP; rates whose bound reaches 2³² bytes are refused (about
+    /// A frame's offset into its GOP is stored in at most 4 bytes. A frame
+    /// size is an exponential draw `-mean·ln(u)` with `u ≥ 2⁻⁵³`, so no
+    /// frame exceeds 36.7× its type's mean, and no GOP exceeds 37× the
+    /// mean GOP; rates whose bound reaches 2³² bytes are refused (about
     /// 1.86 Gbit/s at 30 fps).
     pub fn validate(&self) -> Result<(), ParamsError> {
         if self.fps == 0 {
@@ -139,11 +139,14 @@ impl std::error::Error for ParamsError {}
 /// One video title: a deterministic sequence of I/P/B frames with
 /// exponentially distributed sizes, and a byte index over them.
 ///
-/// The index has two levels: 8-byte cumulative totals per GOP and
-/// 4-byte offsets per frame from the start of its GOP, so a frame's
-/// stream position is `gop_cum[f / GOP_LEN] + frame_off[f]`. A one-hour
-/// title at 30 fps indexes in about 0.5 MB instead of the 0.9 MB a flat
-/// `u64` per frame would take.
+/// The index has two levels: 8-byte cumulative totals per GOP and one
+/// slot per frame 1..14 of each GOP holding the frame's offset from the
+/// start of its GOP (frame 0's offset is always 0). A slot is 3
+/// little-endian bytes, or 4 for a title with an offset of 2²⁴ − 1 or
+/// more, so a frame's stream position is `gop_cum[f / GOP_LEN]` plus its
+/// slot. A one-hour 4 Mbit/s title at 30 fps indexes in about 0.36 MB
+/// (58 KB of GOP totals and 302 KB of slots) instead of the 0.86 MB a
+/// flat `u64` per frame would take.
 #[derive(Clone, Debug)]
 pub struct Video {
     id: VideoId,
@@ -153,12 +156,18 @@ pub struct Video {
     /// `gop_cum[g]` = total bytes of all frames before GOP `g`;
     /// `gop_cum[ngops]` = total title bytes.
     gop_cum: Vec<u64>,
-    /// `frame_off[f]` = bytes of the frames of `f`'s GOP that precede `f`
-    /// (0 for a GOP's first frame). Precomputed once so the per-frame
+    /// `GOP_LEN - 1` slots of `slot_bytes` bytes per GOP: slot `i - 1` of
+    /// GOP `g` holds the bytes of the GOP's frames before frame `i`.
+    /// Every slot is below `slot_mask`; the slots past a partial last GOP
+    /// hold `slot_mask` itself, and one pad byte at the end lets the last
+    /// slot be read with a 4-byte load. Precomputed once so the per-frame
     /// lookups on the simulation hot path (deadlines, wake times, glitch
-    /// checks) never regenerate a GOP's frame sizes. A GOP's bytes fit in
-    /// `u32` for every rate [`VideoParams::validate`] accepts.
-    frame_off: Vec<u32>,
+    /// checks) never regenerate a GOP's frame sizes.
+    slots: Vec<u8>,
+    /// 3 or 4.
+    slot_bytes: usize,
+    /// The low `8 · slot_bytes` bits set.
+    slot_mask: u32,
     num_frames: u64,
 }
 
@@ -176,37 +185,40 @@ impl Video {
     pub fn generate(id: VideoId, params: VideoParams, library_seed: u64) -> Self {
         let seed = SimRng::stream(library_seed, id.0 as u64).next_u64_raw();
         let pattern = GopPattern::for_bit_rate(params.bit_rate_bps, params.fps);
+        let dists = frame_dists(&pattern);
         let num_frames = params.num_frames();
-        let ngops = num_frames.div_ceil(GOP_LEN as u64);
-        let mut gop_cum = Vec::with_capacity(ngops as usize + 1);
-        let mut frame_off = Vec::with_capacity(num_frames as usize);
+        let ngops = num_frames.div_ceil(GOP_LEN as u64) as usize;
+        let mut gop_cum = Vec::with_capacity(ngops + 1);
         gop_cum.push(0);
-        let mut v = Video {
+        let mut slots = SlotWriter::new(ngops);
+        let mut acc = 0u64;
+        for g in 0..ngops {
+            let mut rng = SimRng::stream(seed, g as u64);
+            let present = gop_frames(num_frames, g as u64);
+            let mut within = 0u64;
+            for (i, dist) in dists.iter().enumerate().take(present) {
+                if i > 0 {
+                    slots.push(within);
+                }
+                within += draw_frame_size(dist, &mut rng);
+            }
+            u32::try_from(within).expect("GOP bytes overflow the u32 frame offsets");
+            slots.pad_gop(present);
+            acc += within;
+            gop_cum.push(acc);
+        }
+        let (slots, slot_bytes) = slots.finish();
+        Video {
             id,
             seed,
             params,
             pattern,
-            gop_cum: Vec::new(),
-            frame_off: Vec::new(),
+            gop_cum,
+            slots,
+            slot_bytes,
+            slot_mask: slot_mask(slot_bytes),
             num_frames,
-        };
-        let mut acc = 0u64;
-        for g in 0..ngops {
-            let sizes = v.gop_frame_sizes(g);
-            let sizes = &sizes[..gop_frames(num_frames, g)];
-            let gop_bytes: u64 = sizes.iter().sum();
-            u32::try_from(gop_bytes).expect("GOP bytes overflow the u32 frame offsets");
-            let mut within = 0u64;
-            for &s in sizes {
-                frame_off.push(within as u32);
-                within += s;
-            }
-            acc += gop_bytes;
-            gop_cum.push(acc);
         }
-        v.gop_cum = gop_cum;
-        v.frame_off = frame_off;
-        v
     }
 
     /// Title identifier.
@@ -244,12 +256,18 @@ impl Video {
     /// entries are generated but unused).
     pub fn gop_frame_sizes(&self, g: u64) -> [u64; GOP_LEN] {
         let mut rng = SimRng::stream(self.seed, g);
-        let mut out = [0u64; GOP_LEN];
-        for (slot, &ty) in out.iter_mut().zip(GOP_SEQUENCE.iter()) {
-            let dist = Exponential::new(self.pattern.mean_size(ty));
-            *slot = (dist.sample(&mut rng).round() as u64).max(1);
-        }
-        out
+        frame_dists(&self.pattern).map(|dist| draw_frame_size(&dist, &mut rng))
+    }
+
+    /// Bytes of GOP `g`'s frames before its frame `i`, for
+    /// `1 <= i < GOP_LEN`: one unaligned 4-byte load, masked to the slot
+    /// width. Past the last frame of a partial GOP it reads `slot_mask`.
+    #[inline]
+    fn slot(&self, g: usize, i: usize) -> u32 {
+        debug_assert!((1..GOP_LEN).contains(&i));
+        let at = (g * (GOP_LEN - 1) + i - 1) * self.slot_bytes;
+        let word: [u8; 4] = self.slots[at..at + 4].try_into().expect("a 4-byte slice");
+        u32::from_le_bytes(word) & self.slot_mask
     }
 
     /// Bytes occupied by frames `[0, f)`.
@@ -258,8 +276,9 @@ impl Video {
         if f >= self.num_frames {
             return self.total_bytes();
         }
-        let f = f as usize;
-        self.gop_cum[f / GOP_LEN] + u64::from(self.frame_off[f])
+        let (g, i) = (f as usize / GOP_LEN, f as usize % GOP_LEN);
+        let within = if i == 0 { 0 } else { self.slot(g, i) };
+        self.gop_cum[g] + u64::from(within)
     }
 
     /// The frame containing byte offset `byte` (clamped to the last frame
@@ -320,15 +339,25 @@ impl Video {
     }
 
     /// The last frame of GOP `g` starting at or before `byte`, which must
-    /// lie inside the GOP. Its offset into the GOP is below the GOP's byte
-    /// total, which `generate` checked fits `u32`.
+    /// lie inside the GOP.
+    ///
+    /// A branch-free search over the GOP's 15 frame starts (frame 0's is
+    /// 0): each step halves the bracket `[base, base + len)` that holds the
+    /// answer, probing frames 7, then up to 11, 13 and 14, so it never
+    /// reads past the GOP's own slots. The offset searched for is capped
+    /// at `slot_mask - 1`: every real slot is at most that, so they all
+    /// still count for a byte past the cap, and the mask-valued slots past
+    /// a partial GOP never do.
     #[inline]
     fn frame_in_gop(&self, g: usize, byte: u64) -> u64 {
-        let within = (byte - self.gop_cum[g]) as u32;
-        let start = g * GOP_LEN;
-        let end = (start + GOP_LEN).min(self.frame_off.len());
-        let i = self.frame_off[start..end].partition_point(|&o| o <= within);
-        (start + i - 1) as u64
+        let within = (byte - self.gop_cum[g]).min(u64::from(self.slot_mask - 1)) as u32;
+        let mut base = 0;
+        for half in [7, 4, 2, 1] {
+            if self.slot(g, base + half) <= within {
+                base += half;
+            }
+        }
+        (g * GOP_LEN + base) as u64
     }
 
     /// Display instant of frame `f`, as an offset from playback start.
@@ -361,6 +390,79 @@ impl Video {
     /// Measured mean bit rate of this particular title, bits/second.
     pub fn actual_bit_rate_bps(&self) -> f64 {
         self.total_bytes() as f64 * 8.0 / self.params.duration.as_secs_f64()
+    }
+}
+
+/// Each frame type's size distribution, in GOP display order.
+fn frame_dists(pattern: &GopPattern) -> [Exponential; GOP_LEN] {
+    GOP_SEQUENCE.map(|ty| Exponential::new(pattern.mean_size(ty)))
+}
+
+/// One frame's size: an exponential draw rounded to whole bytes, at least 1.
+#[inline]
+fn draw_frame_size(dist: &Exponential, rng: &mut SimRng) -> u64 {
+    round_u64(dist.sample(rng)).max(1)
+}
+
+/// The low `8 · slot_bytes` bits set.
+fn slot_mask(slot_bytes: usize) -> u32 {
+    u32::MAX >> (32 - 8 * slot_bytes)
+}
+
+/// Builds a title's slots 3 bytes wide, widening them to 4 the first time
+/// an offset reaches the 3-byte mask.
+struct SlotWriter {
+    slots: Vec<u8>,
+    slot_bytes: usize,
+    /// Slots needed by the whole title, for the exact allocation.
+    total: usize,
+}
+
+impl SlotWriter {
+    fn new(ngops: usize) -> Self {
+        let total = ngops * (GOP_LEN - 1);
+        SlotWriter {
+            slots: Vec::with_capacity(total * 3 + 1),
+            slot_bytes: 3,
+            total,
+        }
+    }
+
+    /// Append the slot of a frame `offset` bytes into its GOP.
+    fn push(&mut self, offset: u64) {
+        if self.slot_bytes == 3 && offset >= u64::from(slot_mask(3)) {
+            self.widen();
+        }
+        self.write(offset as u32);
+    }
+
+    /// Fill the slots past the last of a GOP's `present` frames with the
+    /// mask.
+    fn pad_gop(&mut self, present: usize) {
+        for _ in present..GOP_LEN {
+            self.write(slot_mask(self.slot_bytes));
+        }
+    }
+
+    fn write(&mut self, value: u32) {
+        self.slots
+            .extend_from_slice(&value.to_le_bytes()[..self.slot_bytes]);
+    }
+
+    /// Re-encode the slots written so far 4 bytes wide.
+    fn widen(&mut self) {
+        let mut wide = Vec::with_capacity(self.total * 4 + 1);
+        for slot in self.slots.chunks_exact(3) {
+            wide.extend_from_slice(&[slot[0], slot[1], slot[2], 0]);
+        }
+        self.slots = wide;
+        self.slot_bytes = 4;
+    }
+
+    /// The slots with their pad byte, and the slot width.
+    fn finish(mut self) -> (Vec<u8>, usize) {
+        self.slots.push(0);
+        (self.slots, self.slot_bytes)
     }
 }
 
@@ -409,7 +511,6 @@ impl PlayCursor {
         // past the last real frame; pad with the GOP's byte total (those
         // slots are never read while the cursor is in bounds). A title
         // with no frames has no GOP 0, so its cursor sees zero bytes.
-        let start = g as usize * GOP_LEN;
         let present = gop_frames(video.num_frames, g);
         self.gop_base = video.gop_cum[g as usize];
         let gop_bytes = video
@@ -417,10 +518,10 @@ impl PlayCursor {
             .get(g as usize + 1)
             .map_or(0, |&end| end - self.gop_base);
         for (i, slot) in self.within_cum.iter_mut().enumerate() {
-            *slot = if i < present {
-                u64::from(video.frame_off[start + i])
-            } else {
-                gop_bytes
+            *slot = match i {
+                0 => 0,
+                i if i < present => u64::from(video.slot(g as usize, i)),
+                _ => gop_bytes,
             };
         }
         self.gop_idx = g;
@@ -676,6 +777,100 @@ mod tests {
             ..VideoParams::default()
         };
         Video::generate(VideoId(0), params, 1);
+    }
+
+    /// Every lookup agrees with the prefix sum of the regenerated frame
+    /// sizes.
+    fn assert_index_matches_frame_sizes(v: &Video) {
+        let mut flat = vec![0u64];
+        for g in 0..v.num_gops() {
+            let present = gop_frames(v.num_frames(), g);
+            for &s in &v.gop_frame_sizes(g)[..present] {
+                flat.push(flat.last().unwrap() + s);
+            }
+        }
+        assert_eq!(flat.len() as u64, v.num_frames() + 1);
+        let mut c = PlayCursor::new(v, 0);
+        for (f, w) in flat.windows(2).enumerate() {
+            let f = f as u64;
+            assert_eq!(v.cum_bytes_at_frame(f), w[0], "frame {f}");
+            assert_eq!(v.frame_at_byte(w[0]), f, "first byte of frame {f}");
+            assert_eq!(v.frame_at_byte(w[1] - 1), f, "last byte of frame {f}");
+            assert_eq!(v.frame_at_byte_near(w[1] - 1, 0), f, "frame {f}");
+            assert_eq!(c.bytes_through_frame(), w[1], "frame {f}");
+            c.advance(v);
+        }
+        assert_eq!(v.total_bytes(), *flat.last().unwrap());
+    }
+
+    /// The largest offset of a frame into its GOP in `v`.
+    fn largest_offset(v: &Video) -> u64 {
+        (0..v.num_gops())
+            .map(|g| {
+                let present = gop_frames(v.num_frames(), g);
+                v.gop_frame_sizes(g)[..present - 1].iter().sum::<u64>()
+            })
+            .max()
+            .unwrap()
+    }
+
+    #[test]
+    fn titles_with_offsets_under_the_3_byte_mask_use_3_byte_slots() {
+        for bit_rate_bps in [4_000_000, 15_000_000] {
+            let params = VideoParams {
+                bit_rate_bps,
+                ..VideoParams::default()
+            };
+            let v = Video::generate(VideoId(1), params, 3);
+            assert!(largest_offset(&v) < (1 << 24) - 1, "{bit_rate_bps} bit/s");
+            assert_eq!(v.slot_bytes, 3, "{bit_rate_bps} bit/s");
+            assert_eq!(v.slots.len(), v.num_gops() as usize * (GOP_LEN - 1) * 3 + 1);
+        }
+    }
+
+    #[test]
+    fn slots_widen_to_4_bytes_at_an_offset_of_the_3_byte_mask() {
+        // 20.1 s = 40 GOPs + 3 frames. At 150 Mbit/s a mean GOP is 9.4 MB,
+        // and with this seed the first offset past the mask is in GOP 19,
+        // so the slots widen after some were written 3 bytes wide; at
+        // 300 Mbit/s (18.75 MB) GOP 0 already has one.
+        for (bit_rate_bps, first_wide_gop) in [(150_000_000, 19), (300_000_000, 0)] {
+            let params = VideoParams {
+                bit_rate_bps,
+                duration: SimDuration::from_millis(20_100),
+                ..VideoParams::default()
+            };
+            let v = Video::generate(VideoId(0), params, 11);
+            let first = (0..v.num_gops()).find(|&g| {
+                let sizes = v.gop_frame_sizes(g);
+                sizes[..GOP_LEN - 1].iter().sum::<u64>() >= (1 << 24) - 1
+            });
+            assert_eq!(first, Some(first_wide_gop), "{bit_rate_bps} bit/s");
+            assert_eq!(v.slot_bytes, 4, "{bit_rate_bps} bit/s");
+            assert_index_matches_frame_sizes(&v);
+        }
+    }
+
+    #[test]
+    fn bytes_past_the_mask_in_a_partial_gop_find_their_frame() {
+        // Two-frame titles at 960 Mbit/s: a mean I frame of 12 MB, then a
+        // 2.4 MB B frame. Find one whose I frame stays under the 3-byte
+        // mask but whose second frame ends past it, so the byte lookups in
+        // that frame search for offsets beyond every 3-byte slot.
+        let params = VideoParams {
+            bit_rate_bps: 960_000_000,
+            duration: SimDuration::from_millis(67),
+            ..VideoParams::default()
+        };
+        let mask = u64::from(slot_mask(3));
+        let v = (0..100)
+            .map(|seed| Video::generate(VideoId(0), params, seed))
+            .find(|v| v.cum_bytes_at_frame(1) < mask && v.total_bytes() > mask + 1)
+            .expect("a title whose last frame crosses the mask");
+        assert_eq!(v.num_frames(), 2);
+        assert_eq!(v.slot_bytes, 3);
+        assert_eq!(v.frame_at_byte(mask + 1), 1);
+        assert_index_matches_frame_sizes(&v);
     }
 
     #[test]

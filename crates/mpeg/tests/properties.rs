@@ -159,11 +159,13 @@ fn flat_cumulative(v: &Video) -> Vec<u64> {
 #[test]
 fn two_level_index_matches_flat_reference() {
     // 1.2 s and 61.1 s end on a partial GOP (36 = 2·15 + 6 and
-    // 1833 = 122·15 + 3 frames); 61 s ends on a whole one.
+    // 1833 = 122·15 + 3 frames), 0.2 s is one partial GOP (6 frames);
+    // 61 s ends on a whole one.
     let durations = [
         SimDuration::from_millis(1200),
         SimDuration::from_secs(61),
         SimDuration::from_millis(61_100),
+        SimDuration::from_millis(200),
     ];
     for bit_rate_bps in [4_000_000, 15_000_000] {
         for duration in durations {
@@ -275,4 +277,76 @@ fn frame_at_byte_near_matches_frame_at_byte() {
             }
         }
     }
+}
+
+/// 64-bit FNV-1a over the little-endian bytes of `values`.
+fn fnv1a(values: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for v in values {
+        for b in v.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// The byte index of three pinned titles — a one-hour 4 Mbit/s title, a
+/// one-hour 15 Mbit/s title and a title whose last GOP is partial —
+/// digested over `cum_bytes_at_frame` at every frame, and every lookup of
+/// each checked against the prefix sum of its regenerated frame sizes.
+/// The digests were captured from the flat `u32`-per-frame index, so any
+/// change to how the index is stored must leave them as they are.
+#[test]
+fn pinned_titles_index_digests_and_lookups() {
+    let titles = [
+        (4_000_000, SimDuration::from_secs(3600), 0x1d3a_u64),
+        (15_000_000, SimDuration::from_secs(3600), 0x15b1),
+        (4_000_000, SimDuration::from_millis(61_100), 0x9a27),
+    ];
+    let mut digests = Vec::new();
+    for (n, (bit_rate_bps, duration, seed)) in titles.into_iter().enumerate() {
+        let params = VideoParams {
+            bit_rate_bps,
+            duration,
+            ..VideoParams::default()
+        };
+        let v = Video::generate(VideoId(n as u32), params, seed);
+        let ctx = format!("{bit_rate_bps} bit/s, {duration:?}");
+        let frames = v.num_frames();
+        digests.push(fnv1a((0..=frames).map(|f| v.cum_bytes_at_frame(f))));
+
+        let flat = flat_cumulative(&v);
+        assert_eq!(flat.len() as u64, frames + 1, "{ctx}");
+        let mut cursor = PlayCursor::new(&v, 0);
+        for f in 0..frames {
+            let (start, end) = (flat[f as usize], flat[f as usize + 1]);
+            assert_eq!(v.cum_bytes_at_frame(f), start, "{ctx}: frame {f}");
+            for byte in [start, end - 1] {
+                assert_eq!(v.frame_at_byte(byte), f, "{ctx}: byte {byte}");
+                // Hints before, at and after the byte's frame, and past
+                // the end of the title.
+                for near in [0, f / 2, f, f + 1, f + 31, frames - 1, frames, u64::MAX] {
+                    assert_eq!(
+                        v.frame_at_byte_near(byte, near),
+                        f,
+                        "{ctx}: byte {byte} near frame {near}"
+                    );
+                }
+            }
+            assert_eq!(cursor.bytes_before_frame(), start, "{ctx}: frame {f}");
+            assert_eq!(cursor.bytes_through_frame(), end, "{ctx}: frame {f}");
+            cursor.advance(&v);
+        }
+        assert!(cursor.at_end(&v), "{ctx}");
+        assert_eq!(v.cum_bytes_at_frame(frames), v.total_bytes(), "{ctx}");
+    }
+    println!("index digests: {digests:#x?}");
+    assert_eq!(
+        digests,
+        [
+            0x58bc_d89b_2411_89a3,
+            0x483e_b45b_5bad_75c4,
+            0x6a47_ebcb_3916_abc8
+        ]
+    );
 }

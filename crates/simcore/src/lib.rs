@@ -21,6 +21,8 @@
 //!   and bucketed rate tracking for peak network bandwidth (Figure 18).
 //! * [`fan_out`] — an index-slotted parallel map whose output is
 //!   identical at any thread count.
+//! * [`round_u64`] — `f64::round` to `u64` without the soft-float call the
+//!   x86-64 baseline makes for it.
 
 #![warn(missing_docs)]
 
@@ -29,6 +31,7 @@ pub mod dist;
 pub mod hash;
 pub mod par;
 pub mod rng;
+pub mod round;
 pub mod stats;
 pub mod time;
 
@@ -36,4 +39,5 @@ pub use calendar::Calendar;
 pub use hash::{FastHashMap, FastHashSet};
 pub use par::fan_out;
 pub use rng::SimRng;
+pub use round::round_u64;
 pub use time::{SimDuration, SimTime};

@@ -106,7 +106,7 @@ fn secs_to_nanos(secs: f64) -> u64 {
         secs.is_finite() && secs >= 0.0,
         "simulated time must be finite and non-negative, got {secs}"
     );
-    (secs * NANOS_PER_SEC as f64).round() as u64
+    crate::round_u64(secs * NANOS_PER_SEC as f64)
 }
 
 impl Add<SimDuration> for SimTime {
@@ -254,6 +254,37 @@ mod tests {
     fn fractional_seconds_round_to_nanos() {
         let d = SimDuration::from_secs_f64(0.0083333333);
         assert_eq!(d.0, 8_333_333);
+    }
+
+    #[test]
+    fn from_secs_f64_rounds_like_f64_round() {
+        let reference = |secs: f64| (secs * NANOS_PER_SEC as f64).round() as u64;
+        // 2⁶⁴ ns is about 1.8e10 s: from there on the count saturates.
+        for secs in [
+            -0.0,
+            0.0,
+            0.5e-9,
+            1.5e-9,
+            4503599.6270496,
+            1.8446744073709552e10,
+            1e300,
+        ] {
+            assert_eq!(
+                SimDuration::from_secs_f64(secs).0,
+                reference(secs),
+                "{secs:e} s"
+            );
+        }
+        assert_eq!(SimDuration::from_secs_f64(1e300), SimDuration::MAX);
+        let mut rng = crate::SimRng::new(0x5ec5);
+        for _ in 0..100_000 {
+            let secs = rng.f64() * 2f64.powi(rng.index(60) as i32 - 30);
+            assert_eq!(
+                SimTime::from_secs_f64(secs).0,
+                reference(secs),
+                "{secs:e} s"
+            );
+        }
     }
 
     #[test]
